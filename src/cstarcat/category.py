@@ -27,7 +27,6 @@ from .linalg import (
     op_norm,
     orthonormal_span,
     resolve_tol,
-    span_coords,
     span_eval,
     span_project,
     span_residual,
@@ -62,6 +61,14 @@ __all__ = [
 ]
 
 
+def _check_pair_keys(mapping, n: int, what: str) -> None:
+    """Reject keys of a (src, dst)-indexed mapping that name no object pair."""
+    for key in mapping if mapping is not None else ():
+        pair = key if isinstance(key, tuple) and len(key) == 2 else ()
+        if not pair or not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in pair):
+            raise InvalidInput(f"{what} key {key!r} is not a pair of object indices below {n}")
+
+
 class CStarCategory:
     """Finite object set with *-closed matrix hom-spaces.
 
@@ -71,7 +78,8 @@ class CStarCategory:
         Object table; every dimension must be a positive integer.
     homs : mapping (src, dst) -> sequence of matrices
         Generators of each hom-space, each of shape (dim(dst), dim(src)).
-        Missing pairs default to the zero space.  Generators are
+        Missing pairs default to the zero space; a key that is not a pair
+        of object indices raises ``InvalidInput``.  Generators are
         orthonormalized (Frobenius) at ingestion unless
         ``assume_orthonormal`` is set.
     tol : Tolerance, optional
@@ -92,6 +100,7 @@ class CStarCategory:
         if not self._dims:
             raise InvalidInput("a category needs at least one object")
         n = len(self._dims)
+        _check_pair_keys(homs, n, "hom")
         self._basis: dict[tuple[int, int], np.ndarray] = {}
         for x in range(n):
             for y in range(n):
@@ -147,7 +156,22 @@ class CStarCategory:
         return span_residual(mat, self.hom_basis(x, y))
 
     def hom_coords(self, x: int, y: int, mat) -> np.ndarray:
-        return span_coords(mat, self.hom_basis(x, y))
+        """Coordinates against the basis of hom(x, y).
+
+        ``mat`` is one matrix of shape (dim(y), dim(x)) or a stack
+        (..., dim(y), dim(x)); the result has shape (..., hom_dim(x, y)).
+        One product with the flattened basis, taken as
+        <b, m> = conj(b · conj(m)) so that the basis is never conjugated.
+        """
+        key = (self.check_object(x), self.check_object(y))
+        shape = (self._dims[y], self._dims[x])
+        arr = np.asarray(mat, dtype=np.complex128)
+        if arr.shape[-2:] != shape:
+            raise InvalidInput(f"expected a stack of {shape} matrices, got shape {arr.shape}")
+        n = shape[0] * shape[1]
+        basis = self._basis[key]
+        flat = arr.reshape(arr.shape[:-2] + (n,))
+        return np.conj(flat.conj() @ basis.reshape(basis.shape[0], n).T)
 
     def hom_element(self, x: int, y: int, coords) -> "Morphism":
         mat = span_eval(coords, self.hom_basis(x, y), shape=(self.dim(y), self.dim(x)))
@@ -375,6 +399,7 @@ class CStarFunctor:
         self.object_map = tuple(target.check_object(int(v)) for v in object_map)
         if len(self.object_map) != source.n_objects:
             raise InvalidInput("object map must cover every source object")
+        _check_pair_keys(action, source.n_objects, "action")
         self._action: dict[tuple[int, int], np.ndarray] = {}
         for x in range(source.n_objects):
             for y in range(source.n_objects):
@@ -724,6 +749,8 @@ class IdempotentCompletion:
     def __init__(self, base: CStarCategory, projections=None, tol: Tolerance | None = None):
         tol = resolve_tol(tol if tol is not None else base.tol)
         self.base = base
+        for x in projections or ():
+            base.check_object(x)
         self.pairs: list[tuple[int, np.ndarray, np.ndarray]] = []
         for x in range(base.n_objects):
             d = base.dim(x)

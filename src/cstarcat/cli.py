@@ -55,6 +55,7 @@ from .io import (
     bimodule_from_payload,
     category_from_payload,
     decode_matrix,
+    decode_module_payload,
     digest_file,
     load_specfile,
     module_from_payload,
@@ -110,14 +111,9 @@ def _load_kind(path, kinds) -> SpecFile:
 
 def _verify_module_payload(payload, tol) -> Report:
     report = Report(context="module")
-    cat = category_from_payload(payload["category"], tol)
-    base = tuple(int(x) for x in payload["base"])
-    proj = decode_matrix(payload["proj"])
-    from .category import block_residual, list_dim
+    cat, base, proj = decode_module_payload(payload, tol)
+    from .category import block_residual
 
-    expected = list_dim(cat, base)
-    if proj.shape != (expected, expected):
-        raise ParseError(f"projection has shape {proj.shape}, expected {expected}")
     scale = max(op_norm(proj), 1.0)
     report.add("proj-hermitian", op_norm(proj - proj.conj().T), tol.bound(scale))
     report.add("proj-idempotent", op_norm(proj @ proj - proj), tol.bound(scale))
@@ -187,13 +183,16 @@ def cmd_construct(args) -> int:
         elif args.what == "idem":
             projections = None
             if args.projections:
-                with open(args.projections, "r", encoding="utf-8") as fh:
-                    raw = json.load(fh)
-                projections = {}
-                for entry in raw:
-                    projections.setdefault(int(entry["object"]), []).append(
-                        decode_matrix(entry["mat"])
-                    )
+                try:
+                    with open(args.projections, "r", encoding="utf-8") as fh:
+                        raw = json.load(fh)
+                    projections = {}
+                    for entry in raw:
+                        projections.setdefault(int(entry["object"]), []).append(
+                            decode_matrix(entry["mat"])
+                        )
+                except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    raise ParseError(f"bad projections file: {exc!r}") from exc
             out = specfile_for(idempotent_completion(cat, projections, tol).cat)
         else:
             out = _multiplier_realization(cat, tol)
@@ -226,7 +225,7 @@ def cmd_tensor(args) -> int:
     E = realize(right, tol)
     report = Report(context="tensor")
     if left.kind == "module":
-        if left.payload.get("category") != right.payload["source"]:
+        if left.payload.get("category") != right.payload.get("source"):
             raise ParseError("module category and bimodule source do not match")
         M = module_from_payload(left.payload, tol, cat=E.source)
         tensor = tensor_module_bimodule(M, E)

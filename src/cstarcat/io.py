@@ -31,6 +31,7 @@ __all__ = [
     "category_payload",
     "category_from_payload",
     "module_payload",
+    "decode_module_payload",
     "module_from_payload",
     "bimodule_payload",
     "bimodule_from_payload",
@@ -75,6 +76,29 @@ def decode_matrix(data) -> np.ndarray:
         raise ParseError(f"bad matrix data: {exc}") from exc
 
 
+# what indexing a malformed payload raises: a missing key, a value of the
+# wrong JSON type, or a string where a number belongs
+_PAYLOAD_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError)
+
+
+def _index(value, what: str) -> int:
+    """A JSON integer (not a bool, float or string)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _pair_entries(entries, field: str, decode, what: str) -> dict:
+    """Map (src, dst) -> decoded list of ``field``, rejecting repeated pairs."""
+    out = {}
+    for entry in entries:
+        key = (_index(entry["src"], f"{what} src"), _index(entry["dst"], f"{what} dst"))
+        if key in out:
+            raise ParseError(f"{what} entry {key} appears twice")
+        out[key] = decode(entry[field])
+    return out
+
+
 def category_payload(cat: CStarCategory) -> dict:
     homs = []
     for x in range(cat.n_objects):
@@ -95,13 +119,11 @@ def category_payload(cat: CStarCategory) -> dict:
 
 def category_from_payload(payload: dict, tol: Tolerance | None = None) -> CStarCategory:
     try:
-        objects = [(o["label"], int(o["dim"])) for o in payload["objects"]]
-        homs = {}
-        for entry in payload["homs"]:
-            key = (int(entry["src"]), int(entry["dst"]))
-            homs[key] = [decode_matrix(b) for b in entry["basis"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad category payload: {exc}") from exc
+        objects = [(o["label"], _index(o["dim"], "object dim")) for o in payload["objects"]]
+        homs = _pair_entries(payload["homs"], "basis",
+                             lambda basis: [decode_matrix(b) for b in basis], "hom")
+    except _PAYLOAD_ERRORS as exc:
+        raise ParseError(f"bad category payload: {exc!r}") from exc
     # files always carry orthonormal bases; keeping them verbatim preserves
     # the alignment of any coordinates stored alongside (bimodule actions)
     return CStarCategory(objects, homs, tol=resolve_tol(tol), assume_orthonormal=True)
@@ -115,16 +137,22 @@ def module_payload(module: HilbertModule) -> dict:
     }
 
 
-def module_from_payload(payload: dict, tol: Tolerance | None = None,
-                        cat: CStarCategory | None = None) -> HilbertModule:
-    """Accepts a (base, projection) presentation or a generating-element form
+def decode_module_payload(payload: dict, tol: Tolerance | None = None,
+                          cat: CStarCategory | None = None):
+    """The (category, base, projection) a module payload describes.
+
+    Accepts a (base, projection) presentation or a generating-element form
     (base plus columns), which is converted by taking the support of the
-    generators' outer Gram."""
+    generators' outer Gram.  Checks shapes and object indices only; whether
+    the matrix is a projection in the block hom-space is left to the caller.
+    """
     tol = resolve_tol(tol)
     try:
         if cat is None:
             cat = category_from_payload(payload["category"], tol)
-        base = tuple(int(x) for x in payload["base"])
+        base = tuple(_index(x, "base entry") for x in payload["base"])
+        if not all(0 <= x < cat.n_objects for x in base):
+            raise ParseError(f"base {base} names an object outside the category")
         if "proj" in payload:
             proj = decode_matrix(payload["proj"])
         else:
@@ -135,8 +163,19 @@ def module_from_payload(payload: dict, tol: Tolerance | None = None,
             from .linalg import range_projection
 
             proj = range_projection(stack @ stack.conj().T, tol)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad module payload: {exc}") from exc
+    except _PAYLOAD_ERRORS as exc:
+        raise ParseError(f"bad module payload: {exc!r}") from exc
+    expected = sum(cat.dim(x) for x in base)
+    if proj.shape != (expected, expected):
+        raise ParseError(f"projection has shape {proj.shape}, expected {expected}")
+    return cat, base, proj
+
+
+def module_from_payload(payload: dict, tol: Tolerance | None = None,
+                        cat: CStarCategory | None = None) -> HilbertModule:
+    """Rebuild a module from either payload form (see ``decode_module_payload``)."""
+    tol = resolve_tol(tol)
+    cat, base, proj = decode_module_payload(payload, tol, cat)
     return HilbertModule(cat, base, proj, tol=tol)
 
 
@@ -179,16 +218,13 @@ def bimodule_from_payload(payload: dict, tol: Tolerance | None = None,
         if target is None:
             target = category_from_payload(payload["target"], tol)
         ob_map = [
-            HilbertModule(target, tuple(int(i) for i in spec["base"]),
-                          decode_matrix(spec["proj"]), tol=tol)
-            for spec in payload["ob_map"]
+            module_from_payload(spec, tol, cat=target) for spec in payload["ob_map"]
         ]
-        mor_blocks = {}
-        for entry in payload["mor_map"]:
-            key = (int(entry["src"]), int(entry["dst"]))
-            mor_blocks[key] = np.stack([decode_matrix(b) for b in entry["blocks"]])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad bimodule payload: {exc}") from exc
+        mor_blocks = _pair_entries(payload["mor_map"], "blocks",
+                                   lambda blocks: np.stack([decode_matrix(b) for b in blocks]),
+                                   "action")
+    except _PAYLOAD_ERRORS as exc:
+        raise ParseError(f"bad bimodule payload: {exc!r}") from exc
     return Bimodule(source, target, ob_map, mor_blocks, tol=tol)
 
 
@@ -215,8 +251,8 @@ def groupoid_from_payload(payload: dict) -> FiniteGroupoid:
                     comp[(g, h)] = int(k)
         return FiniteGroupoid(payload["objects"], morphisms, comp,
                               payload["inv"], payload["identity"])
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ParseError(f"bad groupoid payload: {exc}") from exc
+    except _PAYLOAD_ERRORS as exc:
+        raise ParseError(f"bad groupoid payload: {exc!r}") from exc
 
 
 def specfile_for(obj) -> SpecFile:

@@ -25,6 +25,7 @@ __all__ = [
     "op_norm",
     "frobenius_norm",
     "herm_eigh",
+    "psd_eigh",
     "frac_power",
     "min_herm_eig",
     "psd_check",
@@ -116,6 +117,21 @@ def herm_eigh(m, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
+def psd_eigh(m, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian PSD matrix, spectrum clamped.
+
+    Raises ``InvalidInput`` unless ``m`` is Hermitian and positive
+    semidefinite within tol; eigenvalues in ``[-atol, atol]`` come back as
+    exact zeros, so ``evals > 0`` selects the support.
+    """
+    tol = resolve_tol(tol)
+    evals, evecs = herm_eigh(m, tol)
+    scale = float(np.max(np.abs(evals))) if evals.size else 0.0
+    if np.any(evals < -tol.bound(scale)):
+        raise InvalidInput("matrix is not positive semidefinite within tolerance")
+    return np.where(evals <= tol.atol, 0.0, evals), evecs
+
+
 def frac_power(m, t: float, tol: Tolerance | None = None) -> np.ndarray:
     """Power ``m**t`` of a Hermitian PSD matrix by eigendecomposition.
 
@@ -137,14 +153,9 @@ def frac_power(m, t: float, tol: Tolerance | None = None) -> np.ndarray:
     ndarray
         ``m**t``, Hermitian.
     """
-    tol = resolve_tol(tol)
     if t == 0:
         raise InvalidInput("exponent must be nonzero")
-    evals, evecs = herm_eigh(m, tol)
-    scale = float(np.max(np.abs(evals))) if evals.size else 0.0
-    if np.any(evals < -tol.bound(scale)):
-        raise InvalidInput("matrix is not positive semidefinite within tolerance")
-    clamped = np.where(evals <= tol.atol, 0.0, evals)
+    clamped, evecs = psd_eigh(m, tol)
     powered = np.zeros_like(clamped)
     nz = clamped > 0.0
     powered[nz] = clamped[nz] ** t

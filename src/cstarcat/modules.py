@@ -107,18 +107,38 @@ class HilbertModule:
         return ModuleElement(self, at, self.proj @ raw, validate=False)
 
     def eval_basis(self, at: int) -> list["ModuleElement"]:
-        """Frobenius-orthonormal basis of the evaluation space at ``at``."""
+        """Frobenius-orthonormal basis of the evaluation space at ``at``.
+
+        The space is the image under the projection P of the block columns
+        with i-th block in hom(at, x_i).  Those columns have an orthonormal
+        basis e_r (one hom-basis element in one block), and P keeps their
+        span, so the k×k coordinate matrix C[r, s] = <e_s, P e_r> has the
+        singular values of the stack of projected columns P e_r.  Its SVD
+        decides the rank at ``tol.atol`` and the leading right singular
+        vectors, taken over the e_r, are the basis.
+        """
         at = self.cat.check_object(at)
         if at not in self._eval_cache:
-            cols = []
-            dy = self.cat.dim(at)
-            for i, x in enumerate(self.base):
-                for b in self.cat.hom_basis(at, x):
-                    col = np.zeros((self.total_dim, dy), dtype=np.complex128)
-                    col[self.slices[i], :] = b
-                    cols.append(self.proj @ col)
-            basis = orthonormal_span(cols, self.tol) if cols else \
-                np.zeros((0, self.total_dim, dy), dtype=np.complex128)
+            cat = self.cat
+            bases = [cat.hom_basis(at, x) for x in self.base]
+            offs = np.concatenate([[0], np.cumsum([b.shape[0] for b in bases])]).astype(int)
+            k = int(offs[-1])
+            basis = np.zeros((0, self.total_dim, cat.dim(at)), dtype=np.complex128)
+            if k:
+                coords = np.zeros((k, k), dtype=np.complex128)
+                for i, b_i in enumerate(bases):
+                    for j, x in enumerate(self.base):
+                        block = self.proj[self.slices[j], self.slices[i]]
+                        if np.any(block):
+                            coords[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
+                                cat.hom_coords(at, x, block @ b_i)
+                _, s, vh = np.linalg.svd(coords)
+                rank = int(np.sum(s > self.tol.atol))
+                basis = np.zeros((rank,) + basis.shape[1:], dtype=np.complex128)
+                for j, b_j in enumerate(bases):
+                    if b_j.shape[0]:
+                        flat = vh[:rank, offs[j]:offs[j + 1]] @ b_j.reshape(b_j.shape[0], -1)
+                        basis[:, self.slices[j], :] = flat.reshape((rank,) + b_j.shape[1:])
             self._eval_cache[at] = [
                 ModuleElement(self, at, c, validate=False) for c in basis
             ]
@@ -392,7 +412,7 @@ def bounded_operator_basis(E: HilbertModule, F: HilbertModule,
     stack = block_basis_stack(E.cat, E.base, F.base)
     if stack.shape[0] == 0:
         return stack
-    compressed = np.einsum("ij,kjl,lm->kim", F.proj, stack, E.proj)
+    compressed = F.proj @ stack @ E.proj
     return orthonormal_span(compressed, tol)
 
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, NotInvertible
-from .linalg import Tolerance, frac_power, op_norm, resolve_tol
+from .linalg import Tolerance, frac_power, op_norm, psd_eigh, resolve_tol
 from .category import (
     CStarCategory,
     MatrixAlgebra,
     Morphism,
-    block_basis_stack,
     block_slices,
     list_dim,
     matrix_algebra,
@@ -36,7 +35,6 @@ from .modules import (
 from .bimodules import (
     Bimodule,
     BimoduleMap,
-    TensorModule,
     tensor_bimodule_bimodule,
     tensor_cross_check,
     tensor_module_bimodule,
@@ -231,6 +229,9 @@ class ConjugateBimodule:
         self.supp: dict[int, np.ndarray] = {}
         self.sqrt: dict[int, np.ndarray] = {}
         self.isqrt: dict[int, np.ndarray] = {}
+        # per nonzero fiber: the isometry onto the support of the generator
+        # Gram and the roots of its kept eigenvalues (sqrt = V diag(root) V*)
+        self._spectral: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         ob_map = []
         for y in range(dst.n_objects):
             gens = []
@@ -263,9 +264,13 @@ class ConjugateBimodule:
                     if b > a:
                         gram[slices[b], slices[a]] = prod.mat.conj().T
             gram = 0.5 * (gram + gram.conj().T)
-            self.sqrt[y] = frac_power(gram, 0.5, self.tol)
-            self.isqrt[y] = frac_power(gram, -0.5, self.tol)
-            self.supp[y] = self.sqrt[y] @ self.isqrt[y]
+            evals, evecs = psd_eigh(gram, self.tol)
+            keep = evals > 0.0
+            support, root = evecs[:, keep], np.sqrt(evals[keep])
+            self._spectral[y] = (support, root)
+            self.sqrt[y] = (support * root) @ support.conj().T
+            self.isqrt[y] = (support / root) @ support.conj().T
+            self.supp[y] = support @ support.conj().T
             ob_map.append(HilbertModule(src, objects, self.supp[y], tol=self.tol))
 
         mor_blocks: dict[tuple[int, int], np.ndarray] = {}
@@ -387,10 +392,24 @@ def morita_source_map(data: BiHilbertData,
                       conj: ConjugateBimodule | None = None) -> BimoduleMap:
     """The map E ⊗ conj(E) -> Yoneda(source) sending e ⊗ f̃ to the left product.
 
-    Components are solved from the simple-tensor correspondence (least
-    squares over the compressed block space); the solve residual is part of
-    the naturality/unitarity verification downstream.  Unitary exactly when
-    the bimodule is full on the source side.
+    The component at x is the least-squares fit of the simple-tensor
+    correspondence over the compressed block space: it maps each column
+    v = m ⊗ g_β (m in the evaluation basis of E(x), g_β a conjugate
+    generator) as close as possible to the left product t of m and e_β,
+    among the operators W P with W in the block hom-space from the tensor's
+    base list (x_1, ..., x_n) to x and P the tensor's projection.  Each
+    column is v = P u for the extended action u of m on g_β, so with
+    M = Σ u u* the normal equations gram c = rhs read, over the bases b_i
+    of hom(x_i, x) and with Q = P M P,
+
+        gram[(i, a), (j, c)] = tr(b_ia* b_jc Q[sl_j, sl_i]),
+        rhs[(i, a)] = <b_ia, ((Σ t u*) P)[:, sl_i]>,
+
+    assembled per block pair of the base list in hom coordinates; the
+    component is W P for W = Σ c_ia b_ia.  M and Σ t u* grow by one GEMM
+    per evaluation object.  The solve residual is part of the naturality
+    and unitarity verification downstream.  Unitary exactly when the
+    bimodule is full on the source side.
     """
     E = data.bimodule
     src, dst = E.source, E.target
@@ -399,38 +418,54 @@ def morita_source_map(data: BiHilbertData,
     cod = yoneda_bimodule(src)
     comps = []
     for x in range(src.n_objects):
-        tensor: TensorModule = dom.ob_tensors[x]
-        d_s = dom.ob(x).total_dim
+        fiber, module = E.ob(x), dom.ob(x)
+        proj, d_s = module.proj, module.total_dim
         second_moment = np.zeros((d_s, d_s), dtype=np.complex128)
         cross = np.zeros((src.dim(x), d_s), dtype=np.complex128)
         seen = False
         for y in range(dst.n_objects):
-            conj_fiber = conj.bimodule.ob(y)
-            gens, objs = conj.gens[y], conj.gen_objects[y]
-            slices = block_slices(src, objs)
-            for m in E.ob(x).eval_basis(y):
-                for beta, (e_beta, x_beta) in enumerate(zip(gens, objs)):
-                    gcol = conj.sqrt[y][:, slices[beta]]
-                    gen_elem = ModuleElement(conj_fiber, x_beta, gcol, validate=False)
-                    v = tensor.simple(m, gen_elem).col
-                    t = data.left_product(m, e_beta).mat
-                    second_moment += v @ v.conj().T
-                    cross += t @ v.conj().T
-                    seen = True
-        stack = block_basis_stack(src, dom.ob(x).base, (x,))
-        proj = dom.ob(x).proj
-        if stack.shape[0] == 0 or not seen:
-            block = np.zeros((src.dim(x), d_s), dtype=np.complex128)
-        else:
-            # normal equations of the least-squares system over the
-            # compressed block space: gram w = rhs
-            compressed = np.einsum("kij,jl->kil", stack, proj)
-            moved = np.einsum("kij,jl->kil", compressed, second_moment)
-            gram = np.tensordot(compressed.conj(), moved, axes=([1, 2], [1, 2]))
-            rhs = np.tensordot(compressed.conj(), cross, axes=([1, 2], [0, 1]))
+            gens, basis = conj.gens[y], fiber.eval_basis(y)
+            if not gens or not basis:
+                continue
+            # the u of all m ⊗ g_β at this y are the columns of A_m sqrt, with
+            # A_m the conjugate action of m's blocks and sqrt = V diag(r) V*;
+            # so Σ u u* = Σ F F* and Σ t u* = Σ (T_m V) F* for the thin
+            # F = A_m V diag(r), T_m the left products of m with every e_β
+            support, root = conj._spectral[y]
+            frames = np.concatenate([
+                conj.bimodule.hull_extend((y,), fiber.base, m.col) @ (support * root)
+                for m in basis
+            ], axis=1)
+            lefts = np.concatenate([
+                np.concatenate([data.left_product(m, e).mat for e in gens], axis=1) @ support
+                for m in basis
+            ], axis=1)
+            second_moment += frames @ frames.conj().T
+            cross += lefts @ frames.conj().T
+            seen = True
+        bases = [src.hom_basis(xi, x) for xi in module.base]
+        offs = np.concatenate([[0], np.cumsum([b.shape[0] for b in bases])]).astype(int)
+        block = np.zeros((src.dim(x), d_s), dtype=np.complex128)
+        if seen and offs[-1]:
+            moment = proj @ second_moment @ proj
+            target = cross @ proj
+            gram = np.zeros((offs[-1], offs[-1]), dtype=np.complex128)
+            rhs = np.zeros(offs[-1], dtype=np.complex128)
+            for i, xi in enumerate(module.base):
+                rows, cols_i = slice(offs[i], offs[i + 1]), module.slices[i]
+                rhs[rows] = src.hom_coords(xi, x, target[:, cols_i])
+                for j, b_j in enumerate(bases):
+                    cols = slice(offs[j], offs[j + 1])
+                    gram[rows, cols] = src.hom_coords(
+                        xi, x, b_j @ moment[module.slices[j], cols_i]).T
             coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-            block = np.tensordot(coeffs, compressed, axes=(0, 0))
-        comps.append(ModuleOperator(dom.ob(x), cod.ob(x), block, validate=False))
+            solution = np.zeros_like(block)
+            for i, b_i in enumerate(bases):
+                if b_i.shape[0]:
+                    flat = coeffs[offs[i]:offs[i + 1]] @ b_i.reshape(b_i.shape[0], -1)
+                    solution[:, module.slices[i]] = flat.reshape(b_i.shape[1:])
+            block = solution @ proj
+        comps.append(ModuleOperator(module, cod.ob(x), block, validate=False))
     return BimoduleMap(dom, cod, comps)
 
 

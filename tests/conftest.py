@@ -1,9 +1,17 @@
 """Shared fixtures: small concrete categories used across the suite."""
 
-import numpy as np
-import pytest
+import os
 
-from cstarcat.category import CStarCategory
+# One BLAS thread unless the caller asks otherwise, set before numpy loads:
+# timings (the acceptance wall-clock gates among them) then do not depend on
+# how many other BLAS-heavy processes share the machine.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from cstarcat.category import CStarCategory  # noqa: E402
 
 
 def matrix_units(dy, dx):

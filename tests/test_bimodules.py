@@ -230,3 +230,17 @@ def test_bimodule_tensor_functoriality():
     assert verify_bimodule(EF).passed
     ok, _ = check_nondegenerate(EF)
     assert ok
+
+
+def test_out_of_range_action_keys_are_rejected(cat):
+    from cstarcat.bimodules import Bimodule
+    from cstarcat.errors import InvalidInput
+
+    ob_map = [representable(cat, x) for x in range(cat.n_objects)]
+    blocks = {
+        (x, y): cat.hom_basis(x, y).copy()
+        for x in range(cat.n_objects) for y in range(cat.n_objects)
+    }
+    blocks[(cat.n_objects, 0)] = cat.hom_basis(0, 0).copy()
+    with pytest.raises(InvalidInput):
+        Bimodule(cat, cat, ob_map, blocks)

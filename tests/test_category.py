@@ -182,3 +182,34 @@ def test_unitary_conjugation_functor_isometric(cat23):
     assert report.passed
     names = {c.name: c for c in report.checks}
     assert names["isometry-on-injective"].passed
+
+
+def test_hom_coords_on_empty_hom_space():
+    from cstarcat.category import CStarCategory
+
+    cat = CStarCategory([("x", 2), ("y", 3)], {(0, 0): [np.eye(2)], (1, 1): [np.eye(3)]})
+    assert cat.hom_coords(0, 1, np.zeros((3, 2))).shape == (0,)
+    assert cat.hom_coords(0, 1, np.zeros((5, 3, 2))).shape == (5, 0)
+
+
+def test_hom_coords_of_a_stack(cat23):
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+    coords = cat23.hom_coords(0, 1, stack)
+    assert coords.shape == (4, cat23.hom_dim(0, 1))
+    for c, m in zip(coords, stack):
+        assert np.allclose(c, cat23.hom_coords(0, 1, m), atol=1e-14)
+        assert np.allclose(cat23.hom_element(0, 1, c).mat, m, atol=1e-12)
+
+
+def test_out_of_range_keys_are_rejected(m2):
+    from cstarcat.category import CStarCategory, CStarFunctor
+    from cstarcat.errors import InvalidInput
+
+    with pytest.raises(InvalidInput):
+        CStarCategory([("x", 2), ("y", 2)], {(0, 0): [np.eye(2)], (7, 1): [np.eye(2)]})
+    with pytest.raises(InvalidInput):
+        CStarCategory([("x", 2)], {(-1, 0): [np.eye(2)]})
+    action = {(0, 0): m2.hom_basis(0, 0), (0, 1): m2.hom_basis(0, 0)}
+    with pytest.raises(InvalidInput):
+        CStarFunctor(m2, m2, [0], action)

@@ -159,3 +159,47 @@ def test_matrix_codec_round_trip():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     assert np.array_equal(decode_matrix(encode_matrix(m)), m)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda p: p.pop("base"),
+    lambda p: p.update(base="01"),
+    lambda p: p.update(base=[0, 7]),
+    lambda p: p.pop("proj"),
+    lambda p: p["category"]["objects"][0].pop("dim"),
+], ids=["no-base", "string-base", "base-out-of-range", "no-proj", "no-dim"])
+def test_malformed_module_payload_is_input_error(tmp_path, capsys, mutate):
+    spec = load_specfile(FIXTURES / "module_1.cstar.json")
+    mutate(spec.payload)
+    path = tmp_path / "module.cstar.json"
+    save_specfile(path, spec)
+    assert main(["verify", str(path)]) == 2
+    with pytest.raises(ParseError):
+        realize(spec)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [
+    {"src": 7, "dst": 0},
+    {"src": 0, "dst": -1},
+    {"src": "0", "dst": 0},
+    {"src": 0, "dst": 0},
+], ids=["src-out-of-range", "negative-dst", "string-src", "repeated-pair"])
+def test_bad_hom_key_is_input_error(tmp_path, capsys, entry):
+    spec = load_specfile(FIXTURES / "category_block_0.cstar.json")
+    assert spec.payload["homs"][0]["src"] == 0 and spec.payload["homs"][0]["dst"] == 0
+    spec.payload["homs"].append(dict(spec.payload["homs"][0], **entry))
+    path = tmp_path / "category.cstar.json"
+    save_specfile(path, spec)
+    assert main(["verify", str(path)]) == 2
+    capsys.readouterr()
+
+
+def test_bad_action_key_is_input_error(tmp_path, capsys):
+    spec = load_specfile(FIXTURES / "bimodule_twist_0.cstar.json")
+    n = len(spec.payload["source"]["objects"])
+    spec.payload["mor_map"].append(dict(spec.payload["mor_map"][0], src=n))
+    path = tmp_path / "bimodule.cstar.json"
+    save_specfile(path, spec)
+    assert main(["verify", str(path)]) == 2
+    capsys.readouterr()

@@ -356,3 +356,68 @@ def test_compact_equals_bounded(cat):
     kb = compact_operator_basis(E, F)
     bb = bounded_operator_basis(E, F)
     assert kb.shape == bb.shape
+
+
+def _connected_pair_and_island():
+    """Objects a (dim 1) and b (dim 2) with all matrices between them, and c
+    (dim 3) with no morphisms to or from either: zero hom-spaces."""
+    from cstarcat.category import CStarCategory
+    from conftest import matrix_units
+
+    dims = {0: 1, 1: 2, 2: 3}
+    homs = {(x, y): matrix_units(dims[y], dims[x]) for x in (0, 1) for y in (0, 1)}
+    homs[(2, 2)] = matrix_units(3, 3)
+    return CStarCategory([("a", 1), ("b", 2), ("c", 3)], homs, assume_orthonormal=True)
+
+
+def _projected_column_span(module, at):
+    """Reference evaluation basis: the orthonormal span of the projected
+    embedded columns, flattened to rows."""
+    from cstarcat.linalg import orthonormal_span
+
+    dy = module.cat.dim(at)
+    cols = []
+    for i, x in enumerate(module.base):
+        for b in module.cat.hom_basis(at, x):
+            col = np.zeros((module.total_dim, dy), dtype=np.complex128)
+            col[module.slices[i], :] = b
+            cols.append(module.proj @ col)
+    if not cols:
+        return np.zeros((0, module.total_dim * dy), dtype=np.complex128)
+    span = orthonormal_span(cols, module.tol)
+    return span.reshape(span.shape[0], -1)
+
+
+def _eval_basis_cases():
+    from cstarcat.generators import random_block_projection
+    from cstarcat.modules import HilbertModule
+
+    cases = []
+    island = _connected_pair_and_island()
+    rng = np.random.default_rng(50)
+    for base in [(0,), (2,), (1, 0, 1, 2), (0, 0, 2, 2)]:
+        proj = random_block_projection(rng, island, base)
+        cases.append(HilbertModule(island, base, proj))
+        cases.append(HilbertModule(island, base, np.eye(proj.shape[0])))
+    for seed in range(51, 55):
+        block_cat = random_block_category(seed, n_objects=3)[0]
+        cases.append(random_module(seed, block_cat, max_base=4))
+    return cases
+
+
+def test_eval_basis_matches_projected_column_span():
+    for module in _eval_basis_cases():
+        for at in range(module.cat.n_objects):
+            basis = module.eval_basis(at)
+            ref = _projected_column_span(module, at)
+            assert len(basis) == ref.shape[0] == module.eval_dim(at)
+            if not basis:
+                continue
+            rows = np.stack([e.col.ravel() for e in basis])
+            assert op_norm(rows.conj() @ rows.T - np.eye(len(basis))) <= 1e-10
+            range_new = rows.T @ rows.conj()
+            range_ref = ref.T @ ref.conj()
+            assert op_norm(range_new - range_ref) <= 1e-10
+            for e in basis:
+                assert op_norm(module.proj @ e.col - e.col) <= 1e-10
+

@@ -345,3 +345,56 @@ def test_whisker_rejects_non_natural(cat):
         pytest.skip("random components happened to be natural")
     with pytest.raises(InvalidInput):
         whisker_transform(tau)
+
+
+def _reference_source_blocks(data, conj, dom):
+    """Components of the source witness map by the direct normal-equation
+    solve: one simple tensor at a time, over the full stack of embedded
+    block-basis matrices compressed by the tensor's projection."""
+    from cstarcat.category import block_basis_stack, block_slices
+    from cstarcat.modules import ModuleElement
+
+    E = data.bimodule
+    src, dst = E.source, E.target
+    blocks = []
+    for x in range(src.n_objects):
+        tensor, module = dom.ob_tensors[x], dom.ob(x)
+        second_moment = np.zeros((module.total_dim,) * 2, dtype=complex)
+        cross = np.zeros((src.dim(x), module.total_dim), dtype=complex)
+        seen = False
+        for y in range(dst.n_objects):
+            fiber = conj.bimodule.ob(y)
+            slices = block_slices(src, conj.gen_objects[y])
+            for m in E.ob(x).eval_basis(y):
+                for beta, (e, xb) in enumerate(zip(conj.gens[y], conj.gen_objects[y])):
+                    gen = ModuleElement(fiber, xb, conj.sqrt[y][:, slices[beta]], validate=False)
+                    v = tensor.simple(m, gen).col
+                    t = data.left_product(m, e).mat
+                    second_moment += v @ v.conj().T
+                    cross += t @ v.conj().T
+                    seen = True
+        stack = block_basis_stack(src, module.base, (x,))
+        if stack.shape[0] == 0 or not seen:
+            blocks.append(np.zeros((src.dim(x), module.total_dim), dtype=complex))
+            continue
+        compressed = stack @ module.proj
+        moved = compressed @ second_moment
+        gram = np.tensordot(compressed.conj(), moved, axes=([1, 2], [1, 2]))
+        rhs = np.tensordot(compressed.conj(), cross, axes=([1, 2], [0, 1]))
+        coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+        blocks.append(np.tensordot(coeffs, compressed, axes=(0, 0)))
+    return blocks
+
+
+@pytest.mark.parametrize("case", ["seed4", "seed7", "corner"])
+def test_source_map_matches_reference_solve(case):
+    if case == "corner":
+        data, _ = check_imprimitivity(corner_bimodule())
+    else:
+        cat, _ = random_block_category(int(case[4:]), n_objects=2, max_mult=2)
+        _, data = mat_equivalence(cat)
+    conj = conjugate_bimodule(data)
+    psi = morita_source_map(data, conj)
+    reference = _reference_source_blocks(data, conj, psi.dom)
+    for comp, ref in zip(psi.components, reference):
+        assert op_norm(comp.block - ref) <= 1e-10
