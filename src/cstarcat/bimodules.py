@@ -18,7 +18,9 @@ from .linalg import Tolerance, as_cmatrix, op_norm, resolve_tol
 from .category import (
     CStarCategory,
     Morphism,
+    _block_diagonal,
     _check_pair_keys,
+    _size_slices,
     block_residual,
     block_slices,
     list_dim,
@@ -141,14 +143,13 @@ class Bimodule:
         dims_out = [self.ob_map[y].total_dim for y in dst_list]
         dims_in = [self.ob_map[x].total_dim for x in src_list]
         out = np.zeros((sum(dims_out), sum(dims_in)), dtype=np.complex128)
-        row_off = np.concatenate([[0], np.cumsum(dims_out)]).astype(int)
-        col_off = np.concatenate([[0], np.cumsum(dims_in)]).astype(int)
+        rows_out, cols_in = _size_slices(dims_out), _size_slices(dims_in)
         for j, y in enumerate(dst_list):
             for i, x in enumerate(src_list):
                 piece = arr[rows[j], cols[i]]
                 if not np.any(piece):
                     continue
-                out[row_off[j]:row_off[j + 1], col_off[i]:col_off[i + 1]] = \
+                out[rows_out[j], cols_in[i]] = \
                     self._act(x, y, piece).reshape(dims_out[j], dims_in[i])
         return out
 
@@ -177,28 +178,19 @@ def verify_bimodule(E: Bimodule, tol: Tolerance | None = None,
     for x in range(src.n_objects):
         for y in range(src.n_objects):
             for z in range(src.n_objects):
-                kg, kf = src.hom_dim(x, y), src.hom_dim(y, z)
-                if kg == 0 or kf == 0:
-                    continue
-                for i in range(kf):
-                    f = src.hom_element(y, z, np.eye(kf)[i])
-                    Ff = E.mor(f)
-                    for j in range(kg):
-                        g = src.hom_element(x, y, np.eye(kg)[j])
-                        lhs = E.mor(Morphism(src, x, z, f.mat @ g.mat, validate=False))
-                        rhs = Ff @ E.mor(g)
-                        mult_res = max(mult_res, op_norm(lhs.block - rhs.block))
+                Eg, Ef = E.mor_stack(x, y), E.mor_stack(y, z)
+                for f, Ef_i in zip(src.hom_basis(y, z), Ef):
+                    for g, Eg_j in zip(src.hom_basis(x, y), Eg):
+                        lhs = E.mor(Morphism(src, x, z, f @ g, validate=False))
+                        mult_res = max(mult_res, op_norm(lhs.block - Ef_i @ Eg_j))
     report.add("functoriality", mult_res, tol.bound(1.0))
 
     star_res = 0.0
     for x in range(src.n_objects):
         for y in range(src.n_objects):
-            k = src.hom_dim(x, y)
-            for i in range(k):
-                a = src.hom_element(x, y, np.eye(k)[i])
-                lhs = E.mor(a.adjoint())
-                rhs = E.mor(a).adjoint()
-                star_res = max(star_res, op_norm(lhs.block - rhs.block))
+            for a, Ea in zip(src.hom_basis(x, y), E.mor_stack(x, y)):
+                lhs = E.mor(Morphism(src, y, x, a.conj().T, validate=False))
+                star_res = max(star_res, op_norm(lhs.block - Ea.conj().T))
     report.add("star-preservation", star_res, tol.bound(1.0))
 
     decrease = 0.0
@@ -253,13 +245,9 @@ def check_nondegenerate(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool
             target_dim = module.eval_dim(z)
             images = []
             for y in range(src.n_objects):
-                k = src.hom_dim(y, x)
-                source_mod = E.ob(y)
-                for i in range(k):
-                    a = src.hom_element(y, x, np.eye(k)[i])
-                    T = E.mor(a)
-                    for e in source_mod.eval_basis(z):
-                        images.append((T.block @ e.col).ravel())
+                for T in E.mor_stack(y, x):
+                    for e in E.ob(y).eval_basis(z):
+                        images.append((T @ e.col).ravel())
             rank = 0
             if images:
                 rank = np.linalg.matrix_rank(np.stack(images), tol=tol.atol)
@@ -292,9 +280,7 @@ class TensorModule:
         proj = 0.5 * (proj + proj.conj().T)
         self.module = HilbertModule(E.target, self.sum_module.base, proj,
                                     tol=M.tol, validate=True)
-        self._offsets = np.concatenate(
-            [[0], np.cumsum([f.total_dim for f in fibers])]
-        ).astype(int)
+        self._spans = _size_slices([f.total_dim for f in fibers])
 
     def simple(self, m: ModuleElement, e: ModuleElement) -> ModuleElement:
         """Presentation column of the simple tensor m ⊗ e.
@@ -302,11 +288,11 @@ class TensorModule:
         ``m`` lives in the left module at some source object x; ``e`` in the
         bimodule fiber at x, evaluated anywhere.
         """
-        if m.module is not self.M and not m.module.same_presentation(self.M):
+        if not m.module.same_presentation(self.M):
             raise InvalidInput("left element does not live in the tensor's module")
         x = m.at
         fiber = self.E.ob(x)
-        if e.module is not fiber and not e.module.same_presentation(fiber):
+        if not e.module.same_presentation(fiber):
             raise InvalidInput("right element does not live in the fiber at the left's object")
         out = np.zeros((self.module.total_dim, self.E.target.dim(e.at)), dtype=np.complex128)
         rows = block_slices(self.M.cat, self.M.base)
@@ -315,7 +301,7 @@ class TensorModule:
             if not np.any(piece):
                 continue
             a = Morphism(self.M.cat, x, xi, piece, validate=False)
-            out[self._offsets[i]:self._offsets[i + 1], :] = self.E.mor(a).block @ e.col
+            out[self._spans[i], :] = self.E.mor(a).block @ e.col
         return ModuleElement(self.module, e.at, self.module.proj @ out, validate=False)
 
 
@@ -391,8 +377,13 @@ def tensor_cross_check(M: HilbertModule, E: Bimodule,
     oracle Gram with the inner products of the realized columns.
     """
     tol = resolve_tol(tol if tol is not None else M.tol)
-    tensor = tensor_module_bimodule(M, E)
-    oracle = tensor_quotient_oracle(M, E, tol)
+    return _cross_check(tensor_module_bimodule(M, E), tol)
+
+
+def _cross_check(tensor: TensorModule, tol: Tolerance) -> Report:
+    """``tensor_cross_check`` on an already built projection tensor."""
+    E = tensor.E
+    oracle = tensor_quotient_oracle(tensor.M, E, tol)
     report = Report(context="tensor-cross-check")
     dim_gap = 0
     spec_res = 0.0
@@ -492,7 +483,7 @@ class BimoduleMap:
         return report
 
     def compose(self, other: "BimoduleMap") -> "BimoduleMap":
-        if other.cod is not self.dom and not all(
+        if not all(
             other.cod.ob(x).same_presentation(self.dom.ob(x))
             for x in range(self.dom.source.n_objects)
         ):
@@ -533,19 +524,19 @@ def tensor_map_left(G: Bimodule, tau: BimoduleMap) -> BimoduleMap:
     """Whisker a map of B-C bimodules with an A-B bimodule on the left."""
     dom = tensor_bimodule_bimodule(G, tau.dom)
     cod = tensor_bimodule_bimodule(G, tau.cod)
-    comps = []
-    for x in range(G.source.n_objects):
-        base = G.ob(x).base
-        dims_in = [tau.dom.ob(b).total_dim for b in base]
-        dims_out = [tau.cod.ob(b).total_dim for b in base]
-        block = np.zeros((sum(dims_out), sum(dims_in)), dtype=np.complex128)
-        ro = np.concatenate([[0], np.cumsum(dims_out)]).astype(int)
-        co = np.concatenate([[0], np.cumsum(dims_in)]).astype(int)
-        for i, b in enumerate(base):
-            block[ro[i]:ro[i + 1], co[i]:co[i + 1]] = tau.components[b].block
-        block = cod.ob(x).proj @ block @ dom.ob(x).proj
-        comps.append(ModuleOperator(dom.ob(x), cod.ob(x), block, validate=False))
+    comps = [
+        _whiskered_component(tau, G.ob(x).base, dom.ob(x), cod.ob(x))
+        for x in range(G.source.n_objects)
+    ]
     return BimoduleMap(dom, cod, comps)
+
+
+def _whiskered_component(tau: BimoduleMap, base, dom: HilbertModule,
+                         cod: HilbertModule) -> ModuleOperator:
+    """The block diagonal of tau's components over ``base``, compressed
+    between the tensor presentations ``dom`` and ``cod`` on that base."""
+    block = _block_diagonal([tau.components[b].block for b in base])
+    return ModuleOperator(dom, cod, cod.proj @ block @ dom.proj, validate=False)
 
 
 def associator(E: Bimodule, F: Bimodule, G: Bimodule) -> BimoduleMap:

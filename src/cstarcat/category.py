@@ -227,10 +227,6 @@ class Morphism:
     def norm(self) -> float:
         return op_norm(self.mat)
 
-    def is_zero(self, tol: Tolerance | None = None) -> bool:
-        tol = resolve_tol(tol) if tol is not None else self.cat.tol
-        return frobenius_norm(self.mat) <= tol.bound(1.0)
-
     def __matmul__(self, other: "Morphism") -> "Morphism":
         return compose(self, other)
 
@@ -462,28 +458,19 @@ def verify_functor(F: CStarFunctor, tol: Tolerance | None = None,
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                gb, fb = src.hom_basis(x, y), src.hom_basis(y, z)
-                if gb.shape[0] == 0 or fb.shape[0] == 0:
-                    continue
-                for i in range(fb.shape[0]):
-                    f = src.hom_element(y, z, np.eye(fb.shape[0])[i])
-                    Ff = F.apply(f)
-                    for j in range(gb.shape[0]):
-                        g = src.hom_element(x, y, np.eye(gb.shape[0])[j])
-                        lhs = F.apply(compose(f, g, validate=False))
-                        rhs = compose(Ff, F.apply(g), validate=False)
-                        mult_res = max(mult_res, op_norm(lhs.mat - rhs.mat))
+                Fg, Ff = F.image_stack(x, y), F.image_stack(y, z)
+                for f, Ff_i in zip(src.hom_basis(y, z), Ff):
+                    for g, Fg_j in zip(src.hom_basis(x, y), Fg):
+                        lhs = F.apply(Morphism(src, x, z, f @ g, validate=False))
+                        mult_res = max(mult_res, op_norm(lhs.mat - Ff_i @ Fg_j))
     report.add("multiplicativity", mult_res, tol.bound(1.0))
 
     star_res = 0.0
     for x in range(n):
         for y in range(n):
-            basis = src.hom_basis(x, y)
-            for i in range(basis.shape[0]):
-                b = src.hom_element(x, y, np.eye(basis.shape[0])[i])
-                lhs = F.apply(involute(b))
-                rhs = involute(F.apply(b))
-                star_res = max(star_res, op_norm(lhs.mat - rhs.mat))
+            for b, Fb in zip(src.hom_basis(x, y), F.image_stack(x, y)):
+                lhs = F.apply(Morphism(src, y, x, b.conj().T, validate=False))
+                star_res = max(star_res, op_norm(lhs.mat - Fb.conj().T))
     report.add("star-preservation", star_res, tol.bound(1.0))
 
     decrease = 0.0
@@ -518,9 +505,25 @@ def list_dim(cat: CStarCategory, lst) -> int:
     return int(sum(cat.dim(x) for x in lst))
 
 
+def _size_slices(sizes) -> list[slice]:
+    """Consecutive slices of the given sizes, starting at 0."""
+    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    return [slice(int(offs[i]), int(offs[i + 1])) for i in range(len(offs) - 1)]
+
+
+def _block_diagonal(blocks) -> np.ndarray:
+    """Block-diagonal matrix of (possibly rectangular) blocks."""
+    blocks = list(blocks)
+    rows = _size_slices([b.shape[0] for b in blocks])
+    cols = _size_slices([b.shape[1] for b in blocks])
+    out = np.zeros((rows[-1].stop, cols[-1].stop), dtype=np.complex128)
+    for r, c, b in zip(rows, cols, blocks):
+        out[r, c] = b
+    return out
+
+
 def block_slices(cat: CStarCategory, lst) -> list[slice]:
-    offs = np.concatenate([[0], np.cumsum([cat.dim(x) for x in lst])])
-    return [slice(int(offs[i]), int(offs[i + 1])) for i in range(len(lst))]
+    return _size_slices([cat.dim(x) for x in lst])
 
 
 def block_project(cat: CStarCategory, src_lst, dst_lst, mat) -> np.ndarray:
@@ -652,22 +655,13 @@ def column_sup_norm(cat: CStarCategory, src_lst, block, probes: int = 48,
     if frobenius_norm(arr) == 0.0:
         return 0.0
     gram = arr.conj().T @ arr
-    rows = block_slices(cat, src_lst)
-    D = list_dim(cat, src_lst)
 
     best = 0.0
     per_object = max(1, probes // cat.n_objects)
     for w in range(cat.n_objects):
-        dw = cat.dim(w)
-        col_basis = []
-        for i, x in enumerate(src_lst):
-            for b in cat.hom_basis(w, x):
-                col = np.zeros((D, dw), dtype=np.complex128)
-                col[rows[i], :] = b
-                col_basis.append(col)
-        if not col_basis:
+        stack = block_basis_stack(cat, (w,), src_lst)
+        if stack.shape[0] == 0:
             continue
-        stack = np.stack(col_basis)
 
         for _ in range(per_object):
             k = stack.shape[0]

@@ -15,10 +15,8 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .errors import EngineError, InvalidInput, NotInvertible, ParseError
-from .linalg import Tolerance, default_tolerance, op_norm
+from .linalg import Tolerance, default_tolerance
 from .category import (
     AdditiveHull,
     idempotent_completion,
@@ -33,6 +31,7 @@ from .bimodules import (
     verify_bimodule,
     check_nondegenerate,
 )
+from .modules import _projection_report
 from .multipliers import multiplier_space
 from .morita import (
     check_imprimitivity,
@@ -110,16 +109,8 @@ def _load_kind(path, kinds) -> SpecFile:
 
 
 def _verify_module_payload(payload, tol) -> Report:
-    report = Report(context="module")
     cat, base, proj = decode_module_payload(payload, tol)
-    from .category import block_residual
-
-    scale = max(op_norm(proj), 1.0)
-    report.add("proj-hermitian", op_norm(proj - proj.conj().T), tol.bound(scale))
-    report.add("proj-idempotent", op_norm(proj @ proj - proj), tol.bound(scale))
-    report.add("proj-in-hom-span", block_residual(cat, base, base, proj),
-               tol.bound(float(np.linalg.norm(proj))))
-    return report
+    return _projection_report(cat, base, proj, tol)
 
 
 def cmd_verify(args) -> int:

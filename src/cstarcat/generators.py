@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .linalg import Tolerance, random_complex, resolve_tol
-from .category import CStarCategory, CStarFunctor, random_block
+from .category import CStarCategory, CStarFunctor, _size_slices, random_block
 
 __all__ = [
     "FiniteGroupoid",
@@ -230,12 +230,10 @@ def random_block_category(seed: int, n_objects: int = 3, n_sectors: int = 2,
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         unitaries.append(q)
 
-    offsets = []
-    for x in range(n_objects):
-        offs = np.concatenate(
-            [[0], np.cumsum([mults[x, s] * sector_dims[s] for s in range(n_sectors)])]
-        )
-        offsets.append(offs)
+    offsets = [
+        _size_slices([mults[x, s] * sector_dims[s] for s in range(n_sectors)])
+        for x in range(n_objects)
+    ]
 
     homs: dict[tuple[int, int], list[np.ndarray]] = {}
     for x in range(n_objects):
@@ -246,8 +244,8 @@ def random_block_category(seed: int, n_objects: int = 3, n_sectors: int = 2,
                 for a in range(my):
                     for b in range(mx):
                         mat = np.zeros((dims[y], dims[x]), dtype=np.complex128)
-                        ro = offsets[y][s] + a * d
-                        co = offsets[x][s] + b * d
+                        ro = offsets[y][s].start + a * d
+                        co = offsets[x][s].start + b * d
                         mat[ro:ro + d, co:co + d] = np.eye(d) / np.sqrt(d)
                         basis.append(unitaries[y] @ mat @ unitaries[x].conj().T)
             if basis:

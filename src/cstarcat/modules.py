@@ -25,7 +25,8 @@ from .linalg import (
 from .category import (
     CStarCategory,
     Morphism,
-    block_project,
+    _block_diagonal,
+    _size_slices,
     block_residual,
     block_slices,
     block_basis_stack,
@@ -72,14 +73,10 @@ class HilbertModule:
         self.proj = as_cmatrix(proj, self.total_dim, self.total_dim)
         self.tol = resolve_tol(tol if tol is not None else cat.tol)
         if validate:
-            scale = max(op_norm(self.proj), 1.0)
-            herm = op_norm(self.proj - self.proj.conj().T)
-            idem = op_norm(self.proj @ self.proj - self.proj)
-            if herm > self.tol.bound(scale) or idem > self.tol.bound(scale):
+            herm, idem, span = _projection_report(cat, self.base, self.proj, self.tol).checks
+            if not (herm.passed and idem.passed):
                 raise InvalidInput("presentation matrix is not a projection within tolerance")
-            if block_residual(cat, self.base, self.base, self.proj) > self.tol.bound(
-                frobenius_norm(self.proj)
-            ):
+            if not span.passed:
                 raise InvalidInput("projection is not in the block hom-space")
         self._eval_cache: dict[int, list["ModuleElement"]] = {}
 
@@ -87,13 +84,6 @@ class HilbertModule:
 
     def element(self, at: int, col, validate: bool = True) -> "ModuleElement":
         return ModuleElement(self, at, col, validate=validate)
-
-    def project_column(self, at: int, col) -> "ModuleElement":
-        """Project a raw column into the module, reporting no residual."""
-        at = self.cat.check_object(at)
-        arr = as_cmatrix(col, self.total_dim, self.cat.dim(at))
-        arr = self.proj @ block_project(self.cat, (at,), self.base, arr)
-        return ModuleElement(self, at, arr, validate=False)
 
     def zero_element(self, at: int) -> "ModuleElement":
         return ModuleElement(
@@ -121,8 +111,8 @@ class HilbertModule:
         if at not in self._eval_cache:
             cat = self.cat
             bases = [cat.hom_basis(at, x) for x in self.base]
-            offs = np.concatenate([[0], np.cumsum([b.shape[0] for b in bases])]).astype(int)
-            k = int(offs[-1])
+            spans = _size_slices([b.shape[0] for b in bases])
+            k = spans[-1].stop
             basis = np.zeros((0, self.total_dim, cat.dim(at)), dtype=np.complex128)
             if k:
                 coords = np.zeros((k, k), dtype=np.complex128)
@@ -130,14 +120,13 @@ class HilbertModule:
                     for j, x in enumerate(self.base):
                         block = self.proj[self.slices[j], self.slices[i]]
                         if np.any(block):
-                            coords[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
-                                cat.hom_coords(at, x, block @ b_i)
+                            coords[spans[i], spans[j]] = cat.hom_coords(at, x, block @ b_i)
                 _, s, vh = np.linalg.svd(coords)
                 rank = int(np.sum(s > self.tol.atol))
                 basis = np.zeros((rank,) + basis.shape[1:], dtype=np.complex128)
                 for j, b_j in enumerate(bases):
                     if b_j.shape[0]:
-                        flat = vh[:rank, offs[j]:offs[j + 1]] @ b_j.reshape(b_j.shape[0], -1)
+                        flat = vh[:rank, spans[j]] @ b_j.reshape(b_j.shape[0], -1)
                         basis[:, self.slices[j], :] = flat.reshape((rank,) + b_j.shape[1:])
             self._eval_cache[at] = [
                 ModuleElement(self, at, c, validate=False) for c in basis
@@ -151,7 +140,7 @@ class HilbertModule:
         return ModuleOperator(self, self, self.proj, validate=False)
 
     def same_presentation(self, other: "HilbertModule") -> bool:
-        return (
+        return other is self or (
             self.cat is other.cat
             and self.base == other.base
             and op_norm(self.proj - other.proj) <= self.tol.bound(1.0)
@@ -250,7 +239,7 @@ class ModuleOperator:
         return op_norm(self.block)
 
     def __matmul__(self, other: "ModuleOperator") -> "ModuleOperator":
-        if other.cod is not self.dom and not other.cod.same_presentation(self.dom):
+        if not other.cod.same_presentation(self.dom):
             raise InvalidInput("operators do not compose: domain/codomain mismatch")
         return ModuleOperator(other.dom, self.cod, self.block @ other.block, validate=False)
 
@@ -269,6 +258,18 @@ class ModuleOperator:
         return f"ModuleOperator(norm={self.norm():.4g})"
 
 
+def _projection_report(cat: CStarCategory, base, proj: np.ndarray, tol: Tolerance) -> Report:
+    """Residuals of a presentation matrix over ``base``: Hermitian,
+    idempotent, and in the block hom-space."""
+    report = Report(context="module")
+    scale = max(op_norm(proj), 1.0)
+    report.add("proj-hermitian", op_norm(proj - proj.conj().T), tol.bound(scale))
+    report.add("proj-idempotent", op_norm(proj @ proj - proj), tol.bound(scale))
+    report.add("proj-in-hom-span", block_residual(cat, base, base, proj),
+               tol.bound(frobenius_norm(proj)))
+    return report
+
+
 def representable(cat: CStarCategory, x: int) -> HilbertModule:
     """The module of morphisms into ``x``: base [x], identity projection."""
     d = cat.dim(cat.check_object(x))
@@ -277,7 +278,7 @@ def representable(cat: CStarCategory, x: int) -> HilbertModule:
 
 def inner_product(e: ModuleElement, f: ModuleElement) -> Morphism:
     """The hom-valued product ``sum_i e_i* f_i`` in hom(f.at, e.at)."""
-    if e.module is not f.module and not e.module.same_presentation(f.module):
+    if not e.module.same_presentation(f.module):
         raise InvalidInput("inner products need elements of one module")
     mat = e.col.conj().T @ f.col
     return Morphism(e.module.cat, f.at, e.at, mat, validate=False)
@@ -305,20 +306,12 @@ def direct_sum(modules) -> tuple[HilbertModule, list[ModuleOperator]]:
     if any(m.cat is not cat for m in modules):
         raise InvalidInput("direct sum needs modules over one category")
     base = tuple(x for m in modules for x in m.base)
-    total = sum(m.total_dim for m in modules)
-    proj = np.zeros((total, total), dtype=np.complex128)
-    offset = 0
-    offsets = []
-    for m in modules:
-        offsets.append(offset)
-        proj[offset:offset + m.total_dim, offset:offset + m.total_dim] = m.proj
-        offset += m.total_dim
+    proj = _block_diagonal([m.proj for m in modules])
     summed = HilbertModule(cat, base, proj, validate=False)
-    inclusions = []
-    for m, off in zip(modules, offsets):
-        block = np.zeros((total, m.total_dim), dtype=np.complex128)
-        block[off:off + m.total_dim, :] = m.proj
-        inclusions.append(ModuleOperator(m, summed, block, validate=False))
+    inclusions = [
+        ModuleOperator(m, summed, proj[:, cols].copy(), validate=False)
+        for m, cols in zip(modules, _size_slices([m.total_dim for m in modules]))
+    ]
     return summed, inclusions
 
 
@@ -385,12 +378,10 @@ def split_projection(P: ModuleOperator) -> tuple[HilbertModule, HilbertModule, M
     Returns (kernel, image, unitary E ≅ kernel ⊕ image).
     """
     E = P.dom
-    if P.cod is not E and not P.cod.same_presentation(E):
+    if not P.cod.same_presentation(E):
         raise InvalidInput("projections are endomorphisms")
-    tol = E.tol
     R = P.block
-    scale = max(op_norm(R), 1.0)
-    if op_norm(R - R.conj().T) > tol.bound(scale) or op_norm(R @ R - R) > tol.bound(scale):
+    if not _projection_report(E.cat, E.base, R, E.tol).passed:
         raise InvalidInput("operator is not a projection within tolerance")
     ker = HilbertModule(E.cat, E.base, E.proj - R, validate=False)
     img = HilbertModule(E.cat, E.base, R, validate=False)

@@ -19,6 +19,7 @@ from .category import (
     CStarCategory,
     MatrixAlgebra,
     Morphism,
+    _size_slices,
     block_slices,
     list_dim,
     matrix_algebra,
@@ -35,8 +36,10 @@ from .modules import (
 from .bimodules import (
     Bimodule,
     BimoduleMap,
+    _cross_check,
+    _whiskered_component,
     tensor_bimodule_bimodule,
-    tensor_cross_check,
+    tensor_cross_check,  # noqa: F401  (perfbench/selftest.py reads it from this module)
     tensor_module_bimodule,
     yoneda_bimodule,
 )
@@ -90,8 +93,8 @@ class BiHilbertData:
     def left_product(self, e: ModuleElement, f: ModuleElement) -> Morphism:
         """The source morphism with action theta^{e,f}, from f's fiber to e's."""
         E = self.bimodule
-        x = self._fiber_of(e)
-        xp = self._fiber_of(f)
+        x = _fiber_of(E, e)
+        xp = _fiber_of(E, f)
         if e.at != f.at:
             raise InvalidInput("left products need elements at one target object")
         theta = e.col @ f.col.conj().T
@@ -111,12 +114,13 @@ class BiHilbertData:
             )
         return candidate
 
-    def _fiber_of(self, e: ModuleElement) -> int:
-        for x in range(self.bimodule.source.n_objects):
-            if e.module is self.bimodule.ob(x) or \
-                    e.module.same_presentation(self.bimodule.ob(x)):
-                return x
-        raise InvalidInput("element does not live in a fiber of the bimodule")
+
+def _fiber_of(E: Bimodule, e: ModuleElement) -> int:
+    """The source object whose fiber of ``E`` holds the element ``e``."""
+    for x in range(E.source.n_objects):
+        if e.module.same_presentation(E.ob(x)):
+            return x
+    raise InvalidInput("element does not live in a fiber of the bimodule")
 
 
 def check_full(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool, Report]:
@@ -280,15 +284,14 @@ class ConjugateBimodule:
                 dy = ob_map[yp].total_dim
                 dx = ob_map[y].total_dim
                 stack = np.zeros((k, dy, dx), dtype=np.complex128)
-                for i in range(k):
-                    b = dst.hom_element(y, yp, np.eye(k)[i])
+                for i, b in enumerate(dst.hom_basis(y, yp)):
                     lam = self._coefficient_pattern(E, y, yp, b)
                     raw = self.sqrt[yp] @ lam @ self.isqrt[y]
                     stack[i] = self.supp[yp] @ raw @ self.supp[y]
                 mor_blocks[(y, yp)] = stack
         self.bimodule = Bimodule(dst, src, ob_map, mor_blocks, tol=self.tol, validate=False)
 
-    def _coefficient_pattern(self, E: Bimodule, y: int, yp: int, b: Morphism) -> np.ndarray:
+    def _coefficient_pattern(self, E: Bimodule, y: int, yp: int, b: np.ndarray) -> np.ndarray:
         """Blocks of conjugated coefficients of e_α · b* in the y' basis."""
         src = E.source
         gens_y, objs_y = self.gens[y], self.gen_objects[y]
@@ -297,7 +300,7 @@ class ConjugateBimodule:
         cols = block_slices(src, objs_y)
         out = np.zeros((list_dim(src, objs_yp), list_dim(src, objs_y)), dtype=np.complex128)
         for a, (e, x) in enumerate(zip(gens_y, objs_y)):
-            moved = e.col @ b.mat.conj().T  # e · b*, an element at yp
+            moved = e.col @ b.conj().T  # e · b*, an element at yp
             for ap, (ep, xp) in enumerate(zip(gens_yp, objs_yp)):
                 if xp != x:
                     continue
@@ -310,7 +313,7 @@ class ConjugateBimodule:
     def element_of(self, f: ModuleElement) -> ModuleElement:
         """Presentation column of the conjugate of an original element."""
         E = self.original.bimodule
-        x = self.original._fiber_of(f)
+        x = _fiber_of(E, f)
         y = f.at
         gens, objs = self.gens[y], self.gen_objects[y]
         cols = block_slices(E.source, objs)
@@ -328,14 +331,7 @@ class ConjugateBimodule:
     def element_to(self, c: ModuleElement) -> ModuleElement:
         """Original element conjugated by a presentation column."""
         E = self.original.bimodule
-        y = None
-        for cand in range(E.target.n_objects):
-            if c.module is self.bimodule.ob(cand) or \
-                    c.module.same_presentation(self.bimodule.ob(cand)):
-                y = cand
-                break
-        if y is None:
-            raise InvalidInput("element does not live in a conjugate fiber")
+        y = _fiber_of(self.bimodule, c)
         x = c.at
         gens, objs = self.gens[y], self.gen_objects[y]
         slices = block_slices(E.source, objs)
@@ -444,25 +440,25 @@ def morita_source_map(data: BiHilbertData,
             cross += lefts @ frames.conj().T
             seen = True
         bases = [src.hom_basis(xi, x) for xi in module.base]
-        offs = np.concatenate([[0], np.cumsum([b.shape[0] for b in bases])]).astype(int)
+        spans = _size_slices([b.shape[0] for b in bases])
+        k = spans[-1].stop
         block = np.zeros((src.dim(x), d_s), dtype=np.complex128)
-        if seen and offs[-1]:
+        if seen and k:
             moment = proj @ second_moment @ proj
             target = cross @ proj
-            gram = np.zeros((offs[-1], offs[-1]), dtype=np.complex128)
-            rhs = np.zeros(offs[-1], dtype=np.complex128)
+            gram = np.zeros((k, k), dtype=np.complex128)
+            rhs = np.zeros(k, dtype=np.complex128)
             for i, xi in enumerate(module.base):
-                rows, cols_i = slice(offs[i], offs[i + 1]), module.slices[i]
+                rows, cols_i = spans[i], module.slices[i]
                 rhs[rows] = src.hom_coords(xi, x, target[:, cols_i])
                 for j, b_j in enumerate(bases):
-                    cols = slice(offs[j], offs[j + 1])
-                    gram[rows, cols] = src.hom_coords(
+                    gram[rows, spans[j]] = src.hom_coords(
                         xi, x, b_j @ moment[module.slices[j], cols_i]).T
             coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
             solution = np.zeros_like(block)
             for i, b_i in enumerate(bases):
                 if b_i.shape[0]:
-                    flat = coeffs[offs[i]:offs[i + 1]] @ b_i.reshape(b_i.shape[0], -1)
+                    flat = coeffs[spans[i]] @ b_i.reshape(b_i.shape[0], -1)
                     solution[:, module.slices[i]] = flat.reshape(b_i.shape[1:])
             block = solution @ proj
         comps.append(ModuleOperator(module, cod.ob(x), block, validate=False))
@@ -509,9 +505,8 @@ def eilenberg_watts_map(M: HilbertModule, E: Bimodule,
     """
     tol = resolve_tol(tol if tol is not None else M.tol)
     report = Report(context="eilenberg-watts")
-    cross = tensor_cross_check(M, E, tol)
-    report.extend(cross, prefix="reconstruction:")
     tensor = tensor_module_bimodule(M, E)
+    report.extend(_cross_check(tensor, tol), prefix="reconstruction:")
     op = tensor.module.identity()
     report.extend(unitary_operator_report(op, tol), prefix="comparison:")
     return op, report
@@ -530,18 +525,9 @@ class WhiskeredTransform:
 
     def component(self, M: HilbertModule) -> ModuleOperator:
         """Direct extension: block diagonal of components, compressed."""
-        tau = self.tau
-        dom_t = tensor_module_bimodule(M, tau.dom)
-        cod_t = tensor_module_bimodule(M, tau.cod)
-        dims_in = [tau.dom.ob(b).total_dim for b in M.base]
-        dims_out = [tau.cod.ob(b).total_dim for b in M.base]
-        block = np.zeros((sum(dims_out), sum(dims_in)), dtype=np.complex128)
-        ro = np.concatenate([[0], np.cumsum(dims_out)]).astype(int)
-        co = np.concatenate([[0], np.cumsum(dims_in)]).astype(int)
-        for i, b in enumerate(M.base):
-            block[ro[i]:ro[i + 1], co[i]:co[i + 1]] = tau.components[b].block
-        block = cod_t.module.proj @ block @ dom_t.module.proj
-        return ModuleOperator(dom_t.module, cod_t.module, block, validate=False)
+        dom_t = tensor_module_bimodule(M, self.tau.dom)
+        cod_t = tensor_module_bimodule(M, self.tau.cod)
+        return _whiskered_component(self.tau, M.base, dom_t.module, cod_t.module)
 
     def component_via_cover(self, M: HilbertModule, seed: int = 0) -> ModuleOperator:
         """Second route: pull the free-module extension through a random

@@ -131,12 +131,14 @@ def multiplier_space(cat: CStarCategory, x: int, y: int,
     dxx, dyy, dxy = cat.hom_dim(x, x), cat.hom_dim(y, y), cat.hom_dim(x, y)
     if dxy == 0:
         return []
-    f_basis = [cat.hom_element(x, x, np.eye(dxx)[i]) for i in range(dxx)]
-    g_basis = [cat.hom_element(y, y, np.eye(dyy)[i]) for i in range(dyy)]
-    pre_f = np.stack([pre_compose_matrix(cat, f, y) for f in f_basis]) if dxx else \
-        np.zeros((0, dxy, dxy))
-    post_g = np.stack([post_compose_matrix(cat, g, x) for g in g_basis]) if dyy else \
-        np.zeros((0, dxy, dxy))
+    pre_f = np.stack([
+        pre_compose_matrix(cat, cat.morphism(x, x, f, validate=False), y)
+        for f in cat.hom_basis(x, x)
+    ]) if dxx else np.zeros((0, dxy, dxy))
+    post_g = np.stack([
+        post_compose_matrix(cat, cat.morphism(y, y, g, validate=False), x)
+        for g in cat.hom_basis(y, y)
+    ]) if dyy else np.zeros((0, dxy, dxy))
     comp_xx = _composition_coords(cat, x)
     comp_yy = _composition_coords(cat, y)
 
@@ -220,8 +222,8 @@ class MultiplierCategory:
                 if dxy == 0:
                     continue
                 kappa_vecs = np.stack([
-                    self.kappa(self.cat.hom_element(x, y, np.eye(dxy)[i])).vec()
-                    for i in range(dxy)
+                    self.kappa(self.cat.morphism(x, y, b, validate=False)).vec()
+                    for b in self.cat.hom_basis(x, y)
                 ])
                 rank = np.linalg.matrix_rank(kappa_vecs, tol=self.tol.atol)
                 inject_gap = max(inject_gap, dxy - int(rank))
@@ -282,9 +284,8 @@ def multiplier_to_arrays(m: MultiplierMorphism, tol: Tolerance | None = None) ->
         k_in = cat.hom_dim(w, x)
         k_out = cat.hom_dim(w, y)
         cols = np.zeros((k_out, k_in), dtype=np.complex128)
-        for i in range(k_in):
-            f = cat.hom_element(w, x, np.eye(k_in)[i])
-            s, t = cofactorize(f, tol)
+        for i, f in enumerate(cat.hom_basis(w, x)):
+            s, t = cofactorize(cat.morphism(w, x, f, validate=False), tol)
             img = compose(m.apply_L(s), t, validate=False)
             cols[:, i] = cat.hom_coords(w, y, img.mat)
         L_maps[w] = cols
@@ -292,9 +293,8 @@ def multiplier_to_arrays(m: MultiplierMorphism, tol: Tolerance | None = None) ->
         k_in = cat.hom_dim(y, z)
         k_out = cat.hom_dim(x, z)
         cols = np.zeros((k_out, k_in), dtype=np.complex128)
-        for i in range(k_in):
-            g = cat.hom_element(y, z, np.eye(k_in)[i])
-            v, w_end = factorize(g, tol)
+        for i, g in enumerate(cat.hom_basis(y, z)):
+            v, w_end = factorize(cat.morphism(y, z, g, validate=False), tol)
             img = compose(v, m.apply_R(w_end), validate=False)
             cols[:, i] = cat.hom_coords(x, z, img.mat)
         R_maps[z] = cols

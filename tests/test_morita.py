@@ -6,6 +6,8 @@ import pytest
 from cstarcat.bimodules import (
     BimoduleMap,
     Bimodule,
+    TensorModule,
+    tensor_map_left,
     tensor_module_bimodule,
     verify_bimodule,
     yoneda_bimodule,
@@ -330,6 +332,33 @@ def test_whisker_routes_agree(cat):
     direct = ext.component(M)
     via_cover = ext.component_via_cover(M, seed=7)
     assert op_norm(direct.block - via_cover.block) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["twist", "matrix-algebra"])
+def test_whisker_left_matches_whisker_transform(cat, kind):
+    if kind == "twist":
+        G = bimodule_from_functor(unitary_twist_functor(cat, seed=3))
+    else:
+        G = mat_equivalence(cat)[1].bimodule
+    _, tau = _twist_pair(cat, seed=6)
+    left = tensor_map_left(G, tau)
+    ext = whisker_transform(tau)
+    for x in range(G.source.n_objects):
+        assert np.array_equal(left.components[x].block, ext.component(G.ob(x)).block)
+
+
+def test_eilenberg_watts_builds_one_tensor(cat, monkeypatch):
+    built = []
+    init = TensorModule.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TensorModule, "__init__", counting_init)
+    M = random_module(96, cat)
+    eilenberg_watts_map(M, yoneda_bimodule(cat))
+    assert len(built) == 1
 
 
 def test_whisker_rejects_non_natural(cat):
