@@ -543,6 +543,18 @@ def block_residual(cat: CStarCategory, src_lst, dst_lst, mat) -> float:
     return frobenius_norm(arr - block_project(cat, src_lst, dst_lst, arr))
 
 
+def _projection_report(cat: CStarCategory, base, proj: np.ndarray, tol: Tolerance) -> Report:
+    """Residuals of a presentation matrix over ``base``: Hermitian,
+    idempotent, and in the block hom-space, each against
+    ``tol.bound(max(||proj||, 1))``."""
+    report = Report(context="module")
+    bound = tol.bound(max(op_norm(proj), 1.0))
+    report.add("proj-hermitian", op_norm(proj - proj.conj().T), bound)
+    report.add("proj-idempotent", op_norm(proj @ proj - proj), bound)
+    report.add("proj-in-hom-span", block_residual(cat, base, base, proj), bound)
+    return report
+
+
 def block_basis_stack(cat: CStarCategory, src_lst, dst_lst) -> np.ndarray:
     """Orthonormal basis of the block hom-space as embedded full matrices."""
     D_dst, D_src = list_dim(cat, dst_lst), list_dim(cat, src_lst)
@@ -753,11 +765,10 @@ class IdempotentCompletion:
             supplied = projections.get(x, []) if projections else []
             for p in supplied:
                 mat = p.mat if isinstance(p, Morphism) else as_cmatrix(p, d, d)
-                scale = max(op_norm(mat), 1.0)
-                if base.hom_residual(x, x, mat) > tol.bound(scale):
+                herm, idem, span = _projection_report(base, (x,), mat, tol).checks
+                if not span.passed:
                     raise InvalidInput("supplied projection is not in hom(x,x)")
-                if op_norm(mat - mat.conj().T) > tol.bound(scale) or \
-                        op_norm(mat @ mat - mat) > tol.bound(scale):
+                if not (herm.passed and idem.passed):
                     raise InvalidInput("supplied morphism is not a projection")
                 if op_norm(mat - eye) <= tol.bound(1.0):
                     continue

@@ -19,6 +19,7 @@ from .errors import EngineError, InvalidInput, NotInvertible, ParseError
 from .linalg import Tolerance, default_tolerance
 from .category import (
     AdditiveHull,
+    _projection_report,
     idempotent_completion,
     matrix_algebra,
     verify_category,
@@ -31,7 +32,6 @@ from .bimodules import (
     verify_bimodule,
     check_nondegenerate,
 )
-from .modules import _projection_report
 from .multipliers import multiplier_space
 from .morita import (
     check_imprimitivity,

@@ -26,6 +26,7 @@ from .category import (
     CStarCategory,
     Morphism,
     _block_diagonal,
+    _projection_report,
     _size_slices,
     block_residual,
     block_slices,
@@ -256,18 +257,6 @@ class ModuleOperator:
 
     def __repr__(self) -> str:
         return f"ModuleOperator(norm={self.norm():.4g})"
-
-
-def _projection_report(cat: CStarCategory, base, proj: np.ndarray, tol: Tolerance) -> Report:
-    """Residuals of a presentation matrix over ``base``: Hermitian,
-    idempotent, and in the block hom-space."""
-    report = Report(context="module")
-    scale = max(op_norm(proj), 1.0)
-    report.add("proj-hermitian", op_norm(proj - proj.conj().T), tol.bound(scale))
-    report.add("proj-idempotent", op_norm(proj @ proj - proj), tol.bound(scale))
-    report.add("proj-in-hom-span", block_residual(cat, base, base, proj),
-               tol.bound(frobenius_norm(proj)))
-    return report
 
 
 def representable(cat: CStarCategory, x: int) -> HilbertModule:

@@ -333,19 +333,13 @@ class ConjugateBimodule:
         E = self.original.bimodule
         y = _fiber_of(self.bimodule, c)
         x = c.at
-        gens, objs = self.gens[y], self.gen_objects[y]
-        slices = block_slices(E.source, objs)
-        coeffs = self.isqrt[y] @ c.col
-        out = None
-        for a, (e, xa) in enumerate(zip(gens, objs)):
-            a_mat = coeffs[slices[a], :]  # morphism x -> x_a
-            if not np.any(a_mat):
-                continue
-            piece = E.mor(Morphism(E.source, xa, x, a_mat.conj().T, validate=False)).block @ e.col
-            out = piece if out is None else out + piece
-        if out is None:
-            out = np.zeros((E.ob(x).total_dim, E.target.dim(y)), dtype=np.complex128)
-        return ModuleElement(E.ob(x), y, out, validate=False)
+        gens = self.gens[y]
+        if not gens:
+            return E.ob(x).zero_element(y)
+        # the coefficient blocks are morphisms x -> x_a; their adjoints act on e_a
+        lifted = E.hull_extend(self.gen_objects[y], (x,), (self.isqrt[y] @ c.col).conj().T)
+        return ModuleElement(E.ob(x), y, lifted @ np.concatenate([e.col for e in gens]),
+                             validate=False)
 
 
 def conjugate_bimodule(data: BiHilbertData, tol: Tolerance | None = None) -> ConjugateBimodule:
@@ -542,8 +536,8 @@ class WhiskeredTransform:
         )
         raw = M.proj @ random_block(rng, M.cat, base2, M.base)
         gram = raw @ raw.conj().T
-        phi = frac_power(gram, -0.5, Tolerance(atol=1e-8, rtol=M.tol.rtol)) @ raw
-        if op_norm(phi @ phi.conj().T - M.proj) > 1e-6:
+        phi = frac_power(gram, -0.5, M.tol) @ raw
+        if op_norm(phi @ phi.conj().T - M.proj) > M.tol.bound(1.0):
             raise NotInvertible("random cover is not co-isometric; retry with another seed")
         cover = ModuleOperator(free2, M, phi, validate=False)
 

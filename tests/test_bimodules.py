@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cstarcat.bimodules import (
+    Bimodule,
     associator,
     check_nondegenerate,
     left_unitor,
@@ -17,15 +18,19 @@ from cstarcat.bimodules import (
     verify_bimodule,
     yoneda_bimodule,
 )
+from cstarcat.category import CStarCategory
 from cstarcat.generators import (
     bimodule_from_functor,
     degenerate_double,
     random_block_category,
+    random_block_projection,
     random_module,
     unitary_twist_functor,
 )
 from cstarcat.linalg import op_norm
-from cstarcat.modules import representable, single_rank
+from cstarcat.modules import HilbertModule, direct_sum, inner_product, representable, single_rank
+
+from conftest import matrix_units
 
 
 @pytest.fixture
@@ -244,3 +249,92 @@ def test_out_of_range_action_keys_are_rejected(cat):
     blocks[(cat.n_objects, 0)] = cat.hom_basis(0, 0).copy()
     with pytest.raises(InvalidInput):
         Bimodule(cat, cat, ob_map, blocks)
+
+
+def _reference_quotient_gram(M, E):
+    """The oracle Gram and quotient dimensions by the pairwise loop: one
+    inner product and one ``E.mor`` per pair of generating simple tensors."""
+    grams, dims = {}, {}
+    for z in range(E.target.n_objects):
+        gens = [
+            (m, e)
+            for x in range(E.source.n_objects)
+            for m in M.eval_basis(x)
+            for e in E.ob(x).eval_basis(z)
+        ]
+        dz = E.target.dim(z)
+        n = len(gens)
+        gram = np.zeros((n * dz, n * dz), dtype=np.complex128)
+        for a, (ma, ea) in enumerate(gens):
+            for b, (mb, eb) in enumerate(gens):
+                if b < a:
+                    continue
+                acted = E.mor(inner_product(ma, mb)).block @ eb.col
+                entry = ea.col.conj().T @ acted
+                gram[a * dz:(a + 1) * dz, b * dz:(b + 1) * dz] = entry
+                if b > a:
+                    gram[b * dz:(b + 1) * dz, a * dz:(a + 1) * dz] = entry.conj().T
+        grams[z] = gram
+        dims[z] = 0
+        if n:
+            scalar = np.zeros((n, n), dtype=np.complex128)
+            for a in range(n):
+                for b in range(n):
+                    scalar[a, b] = np.trace(gram[a * dz:(a + 1) * dz, b * dz:(b + 1) * dz])
+            dims[z] = int(np.linalg.matrix_rank(scalar, tol=M.tol.atol, hermitian=True))
+    return grams, dims
+
+
+def _double_yoneda(cat):
+    """Each representable doubled, the action repeated on both copies."""
+    ob_map = [direct_sum([representable(cat, x)] * 2)[0] for x in range(cat.n_objects)]
+    blocks = {}
+    for x in range(cat.n_objects):
+        for y in range(cat.n_objects):
+            basis = cat.hom_basis(x, y)
+            dx, dy = cat.dim(x), cat.dim(y)
+            stack = np.zeros((basis.shape[0], 2 * dy, 2 * dx), dtype=np.complex128)
+            stack[:, :dy, :dx] = basis
+            stack[:, dy:, dx:] = basis
+            blocks[(x, y)] = stack
+    return Bimodule(cat, cat, ob_map, blocks)
+
+
+def _disconnected_category():
+    """Two full matrix blocks with no morphisms between them: a module on
+    one block has an empty evaluation space at the other object."""
+    return CStarCategory(
+        [("x", 2), ("y", 3)],
+        {(0, 0): matrix_units(2, 2), (1, 1): matrix_units(3, 3)},
+        assume_orthonormal=True,
+    )
+
+
+@pytest.mark.parametrize("kind", ["yoneda", "twist", "twist-yoneda", "double-yoneda"])
+@pytest.mark.parametrize("case", range(3))
+def test_quotient_oracle_matches_pairwise_reference(kind, case):
+    if case < 2:
+        cat, _ = random_block_category(case, n_objects=2)
+        M = random_module(9300 + case, cat, max_base=2)
+    else:
+        cat = _disconnected_category()
+        rng = np.random.default_rng(case)
+        M = HilbertModule(cat, (0, 0), random_block_projection(rng, cat, (0, 0)))
+        assert not M.eval_basis(1)
+    E = {
+        "yoneda": lambda: yoneda_bimodule(cat),
+        "twist": lambda: bimodule_from_functor(unitary_twist_functor(cat, seed=9100 + case)),
+        "twist-yoneda": lambda: tensor_bimodule_bimodule(
+            bimodule_from_functor(unitary_twist_functor(cat, seed=9200 + case)),
+            yoneda_bimodule(cat),
+        ),
+        "double-yoneda": lambda: _double_yoneda(cat),
+    }[kind]()
+    grams, dims = _reference_quotient_gram(M, E)
+    oracle = tensor_quotient_oracle(M, E)
+    for z in range(cat.n_objects):
+        assert oracle.dims[z] == dims[z]
+        assert oracle.gram[z].shape == grams[z].shape
+        if grams[z].size:
+            scale = max(float(np.max(np.abs(grams[z]))), 1.0)
+            assert np.max(np.abs(oracle.gram[z] - grams[z])) <= 1e-12 * scale

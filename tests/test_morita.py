@@ -9,6 +9,7 @@ from cstarcat.bimodules import (
     TensorModule,
     tensor_map_left,
     tensor_module_bimodule,
+    tensor_quotient_oracle,
     verify_bimodule,
     yoneda_bimodule,
 )
@@ -359,6 +360,55 @@ def test_eilenberg_watts_builds_one_tensor(cat, monkeypatch):
     M = random_module(96, cat)
     eilenberg_watts_map(M, yoneda_bimodule(cat))
     assert len(built) == 1
+
+
+def test_action_applied_to_whole_blocks(cat, monkeypatch):
+    # the oracle, the simple tensors and the conjugate translation act through
+    # block products, never per morphism; the oracle builds no projection tensor
+    E = bimodule_from_functor(unitary_twist_functor(cat, seed=5))
+    M = random_module(97, cat)
+    data, _ = check_imprimitivity(yoneda_bimodule(cat))
+    conj = conjugate_bimodule(data)
+    rng = np.random.default_rng(9)
+    originals = [
+        data.bimodule.ob(x).random_element(rng, y)
+        for x in range(cat.n_objects) for y in range(cat.n_objects)
+    ]
+    columns = [conj.element_of(f) for f in originals]
+    calls = {"mor": 0, "tensor": 0}
+    mor, init = Bimodule.mor, TensorModule.__init__
+
+    def counting_mor(self, a):
+        calls["mor"] += 1
+        return mor(self, a)
+
+    def counting_init(self, *args, **kwargs):
+        calls["tensor"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Bimodule, "mor", counting_mor)
+    monkeypatch.setattr(TensorModule, "__init__", counting_init)
+    oracle = tensor_quotient_oracle(M, E)
+    assert calls == {"mor": 0, "tensor": 0}
+    tensor = TensorModule(M, E)
+    gens = [g for z in range(cat.n_objects) for g in oracle.generators[z]]
+    assert gens
+    for m, e in gens:
+        tensor.simple(m, e)
+    for f, c in zip(originals, columns):
+        assert op_norm(conj.element_to(c).col - f.col) <= 1e-8
+    assert calls == {"mor": 0, "tensor": 1}
+
+
+def test_element_to_on_a_zero_conjugate_fiber():
+    E = corner_bimodule()
+    data, _ = check_imprimitivity(E)
+    conj = conjugate_bimodule(data)
+    assert not conj.gens[1]
+    back = conj.element_to(conj.bimodule.ob(1).zero_element(0))
+    assert back.module is E.ob(0) and back.at == 1
+    assert back.col.shape == (E.ob(0).total_dim, E.target.dim(1))
+    assert not np.any(back.col)
 
 
 def test_whisker_rejects_non_natural(cat):
