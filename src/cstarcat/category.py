@@ -26,10 +26,12 @@ from .linalg import (
     min_herm_eig,
     op_norm,
     orthonormal_span,
+    psd_eigh,
     resolve_tol,
     span_eval,
     span_project,
     span_residual,
+    spectral_power,
 )
 from .report import Report
 
@@ -351,9 +353,9 @@ def factorize(u: Morphism, tol: Tolerance | None = None) -> tuple[Morphism, Morp
     factors are validated against their hom-spans.
     """
     tol = resolve_tol(tol if tol is not None else u.cat.tol)
-    gram = u.mat.conj().T @ u.mat
-    w_mat = frac_power(gram, 0.25, tol)
-    v_mat = u.mat @ frac_power(gram, -0.25, tol)
+    spectrum = psd_eigh(u.mat.conj().T @ u.mat, tol)
+    w_mat = spectral_power(*spectrum, 0.25)
+    v_mat = u.mat @ spectral_power(*spectrum, -0.25)
     v = Morphism(u.cat, u.src, u.dst, v_mat)
     w = Morphism(u.cat, u.src, u.src, w_mat)
     return v, w

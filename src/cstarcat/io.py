@@ -62,8 +62,9 @@ class SpecFile:
 
 
 def encode_matrix(mat) -> list:
+    """Nested ``[re, im]`` lists of a matrix, or of each matrix of a stack."""
     arr = np.asarray(mat, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def decode_matrix(data) -> np.ndarray:
@@ -109,7 +110,7 @@ def category_payload(cat: CStarCategory) -> dict:
             homs.append({
                 "src": x,
                 "dst": y,
-                "basis": [encode_matrix(b) for b in basis],
+                "basis": encode_matrix(basis),
             })
     return {
         "objects": [{"label": l, "dim": d} for l, d in cat.objects],
@@ -189,7 +190,7 @@ def bimodule_payload(E: Bimodule) -> dict:
             mor.append({
                 "src": x,
                 "dst": y,
-                "blocks": [encode_matrix(b) for b in stack],
+                "blocks": encode_matrix(stack),
             })
     return {
         "source": category_payload(E.source),

@@ -27,6 +27,8 @@ __all__ = [
     "herm_eigh",
     "psd_eigh",
     "frac_power",
+    "spectral_power",
+    "null_space",
     "min_herm_eig",
     "psd_check",
     "orthonormal_span",
@@ -110,10 +112,11 @@ def herm_eigh(m, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
     arr = as_cmatrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise InvalidInput("matrix is not square")
-    scale = op_norm(arr)
+    evals, evecs = np.linalg.eigh(0.5 * (arr + arr.conj().T))
+    # the operator norm of the Hermitian part is its largest |eigenvalue|
+    scale = float(np.max(np.abs(evals))) if evals.size else 0.0
     if op_norm(arr - arr.conj().T) > tol.bound(scale):
         raise InvalidInput("matrix is not Hermitian within tolerance")
-    evals, evecs = np.linalg.eigh(0.5 * (arr + arr.conj().T))
     return evals, evecs
 
 
@@ -155,11 +158,36 @@ def frac_power(m, t: float, tol: Tolerance | None = None) -> np.ndarray:
     """
     if t == 0:
         raise InvalidInput("exponent must be nonzero")
-    clamped, evecs = psd_eigh(m, tol)
+    return spectral_power(*psd_eigh(m, tol), t)
+
+
+def spectral_power(clamped: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
+    """``m**t`` from the clamped spectrum ``psd_eigh(m)`` returns.
+
+    Zero eigenvalues stay zero for every ``t``, so several powers of one
+    matrix (as in ``frac_power``) cost one eigendecomposition.
+    """
     powered = np.zeros_like(clamped)
     nz = clamped > 0.0
     powered[nz] = clamped[nz] ** t
     return (evecs * powered) @ evecs.conj().T
+
+
+def null_space(system, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning the null space of ``system``, and its singular values.
+
+    Only the right singular vectors are needed, so the SVD is taken of the
+    triangular factor R of ``system = QR`` (Chan's R-SVD): R has
+    ``min(rows, cols)`` rows and the same singular values and right factor,
+    so no rows×rows matrix is formed.  The rank is the number of singular
+    values above ``tol.atol``; a system with no rows has the whole space as
+    its null space.
+    """
+    tol = resolve_tol(tol)
+    r = np.linalg.qr(np.asarray(system, dtype=np.complex128), mode="r")
+    _, svals, vh = np.linalg.svd(r)
+    rank = int(np.sum(svals > tol.atol))
+    return vh[rank:].conj(), svals
 
 
 def min_herm_eig(m) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import Tolerance, op_norm, resolve_tol
+from .linalg import Tolerance, null_space, op_norm, resolve_tol
 from .category import CStarCategory, Morphism, cofactorize, compose, factorize
 from .report import Report
 
@@ -123,9 +123,9 @@ def multiplier_space(cat: CStarCategory, x: int, y: int,
                      tol: Tolerance | None = None) -> list[MultiplierMorphism]:
     """Orthonormal basis of the space of multipliers from x to y.
 
-    Solved exactly as the null space (SVD, cutoff ``tol.atol``) of the linear
-    system expressing the two module-map laws and the compatibility law on
-    hom-space basis elements.
+    Solved exactly as the null space (``linalg.null_space``, cutoff
+    ``tol.atol``) of the linear system expressing the two module-map laws and
+    the compatibility law on hom-space basis elements.
     """
     tol = resolve_tol(tol if tol is not None else cat.tol)
     dxx, dyy, dxy = cat.hom_dim(x, x), cat.hom_dim(y, y), cat.hom_dim(x, y)
@@ -143,48 +143,25 @@ def multiplier_space(cat: CStarCategory, x: int, y: int,
     comp_yy = _composition_coords(cat, y)
 
     eye_xy = np.eye(dxy)
-    blocks = []
-    if dxx:
-        # L(f_i ∘ f_j) = L(f_i) ∘ f_j
-        m1 = np.einsum("ac,ijb->ijacb", eye_xy, comp_xx) \
-            - np.einsum("jac,ib->ijacb", pre_f, np.eye(dxx))
-        blocks.append((m1.reshape(dxx * dxx * dxy, dxy * dxx), None))
-    if dyy:
-        # R(g_i ∘ g_j) = g_i ∘ R(g_j)
-        m2 = np.einsum("ac,ijb->ijacb", eye_xy, comp_yy) \
-            - np.einsum("iac,jb->ijacb", post_g, np.eye(dyy))
-        blocks.append((None, m2.reshape(dyy * dyy * dxy, dxy * dyy)))
-    if dxx and dyy:
-        # R(g_i) ∘ f_j = g_i ∘ L(f_j)
-        m3_l = -np.einsum("iac,jb->ijacb", post_g, np.eye(dxx))
-        m3_r = np.einsum("jac,ib->ijacb", pre_f, np.eye(dyy))
-        blocks.append((
-            m3_l.reshape(dyy * dxx * dxy, dxy * dxx),
-            m3_r.reshape(dyy * dxx * dxy, dxy * dyy),
-        ))
+    # L(f_i ∘ f_j) = L(f_i) ∘ f_j
+    m1 = np.einsum("ac,ijb->ijacb", eye_xy, comp_xx) \
+        - np.einsum("jac,ib->ijacb", pre_f, np.eye(dxx))
+    # R(g_i ∘ g_j) = g_i ∘ R(g_j)
+    m2 = np.einsum("ac,ijb->ijacb", eye_xy, comp_yy) \
+        - np.einsum("iac,jb->ijacb", post_g, np.eye(dyy))
+    # R(g_i) ∘ f_j = g_i ∘ L(f_j)
+    m3_l = -np.einsum("iac,jb->ijacb", post_g, np.eye(dxx))
+    m3_r = np.einsum("jac,ib->ijacb", pre_f, np.eye(dyy))
 
     n_l, n_r = dxy * dxx, dxy * dyy
-    rows = []
-    for left, right in blocks:
-        n = left.shape[0] if left is not None else right.shape[0]
-        row = np.zeros((n, n_l + n_r), dtype=np.complex128)
-        if left is not None:
-            row[:, :n_l] = left
-        if right is not None:
-            row[:, n_l:] = right
-        rows.append(row)
-    system = np.concatenate(rows, axis=0) if rows else np.zeros((0, n_l + n_r))
-
-    if system.shape[0] == 0:
-        null = np.eye(n_l + n_r, dtype=np.complex128)
-    else:
-        _, svals, vh = np.linalg.svd(system)
-        rank = int(np.sum(svals > tol.atol))
-        null = vh[rank:].conj()
-    out = []
-    for vec in null:
-        out.append(MultiplierMorphism(cat, x, y, vec[:n_l], vec[n_l:]))
-    return out
+    rows_1, rows_2, rows_3 = dxx * dxx * dxy, dyy * dyy * dxy, dyy * dxx * dxy
+    system = np.block([
+        [m1.reshape(rows_1, n_l), np.zeros((rows_1, n_r))],
+        [np.zeros((rows_2, n_l)), m2.reshape(rows_2, n_r)],
+        [m3_l.reshape(rows_3, n_l), m3_r.reshape(rows_3, n_r)],
+    ])
+    null, _ = null_space(system, tol)
+    return [MultiplierMorphism(cat, x, y, vec[:n_l], vec[n_l:]) for vec in null]
 
 
 class MultiplierCategory:
@@ -318,37 +295,27 @@ def multiplier_from_arrays(cat: CStarCategory, src: int, dst: int, L_maps, R_map
     def r_apply(z, g_mat):
         return cat.hom_element(x, z, arrays.R_maps[z] @ cat.hom_coords(y, z, g_mat))
 
-    worst = 0.0
+    samples = []  # (lhs, rhs) of each law on each pair of basis elements
     for w in range(cat.n_objects):
         for wp in range(cat.n_objects):
-            fb = cat.hom_basis(w, x)
-            hb = cat.hom_basis(wp, w)
-            for f in fb:
+            for f in cat.hom_basis(w, x):
                 lf = l_apply(w, f).mat
-                for h in hb:
-                    lhs = lf @ h
-                    rhs = l_apply(wp, f @ h).mat
-                    worst = max(worst, op_norm(lhs - rhs))
+                for h in cat.hom_basis(wp, w):
+                    samples.append((lf @ h, l_apply(wp, f @ h).mat))
     for z in range(cat.n_objects):
         for zp in range(cat.n_objects):
-            fb = cat.hom_basis(y, z)
-            hb = cat.hom_basis(z, zp)
-            for f in fb:
+            for f in cat.hom_basis(y, z):
                 rf = r_apply(z, f).mat
-                for h in hb:
-                    lhs = h @ rf
-                    rhs = r_apply(zp, h @ f).mat
-                    worst = max(worst, op_norm(lhs - rhs))
+                for h in cat.hom_basis(z, zp):
+                    samples.append((h @ rf, r_apply(zp, h @ f).mat))
     for w in range(cat.n_objects):
         for z in range(cat.n_objects):
-            fb = cat.hom_basis(w, x)
-            gb = cat.hom_basis(y, z)
-            for f in fb:
-                for g in gb:
-                    lhs = r_apply(z, g).mat @ f
-                    rhs = g @ l_apply(w, f).mat
-                    worst = max(worst, op_norm(lhs - rhs))
-    if worst > tol.bound(1.0) * 10:
+            for f in cat.hom_basis(w, x):
+                for g in cat.hom_basis(y, z):
+                    samples.append((r_apply(z, g).mat @ f, g @ l_apply(w, f).mat))
+    worst = max((op_norm(lhs - rhs) for lhs, rhs in samples), default=0.0)
+    scale = max((max(op_norm(lhs), op_norm(rhs)) for lhs, rhs in samples), default=0.0)
+    if worst > tol.bound(scale):
         raise InvalidInput(f"arrays violate the multiplier laws (residual {worst:.3e})")
     return MultiplierMorphism(cat, x, y, arrays.L_maps[x], arrays.R_maps[y])
 
@@ -381,7 +348,7 @@ def multiplier_norm(m: MultiplierMorphism, probes: int = 16, seed: int = 0) -> f
         candidates.append(cat.random_morphism(rng, m.src, m.src))
     for f in candidates:
         nf = f.norm()
-        if nf <= 1e-12:
+        if nf <= cat.tol.atol:
             continue
         best = max(best, m.apply_L(f).norm() / nf)
     return best

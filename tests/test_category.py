@@ -17,7 +17,7 @@ from cstarcat.category import (
 )
 from cstarcat.errors import ClosureViolation, CompositionMismatch, NotInvertible
 from cstarcat.generators import FiniteGroupoid, groupoid_category, random_block_category
-from cstarcat.linalg import op_norm
+from cstarcat.linalg import frac_power, op_norm
 
 
 def test_verify_full_matrix_category(m2):
@@ -125,6 +125,24 @@ def test_factorize_recomposition(seed):
     s, t = cofactorize(u)
     assert s.src == s.dst == u.dst
     assert op_norm(u.mat - s.mat @ t.mat) <= 1e-8 * max(u.norm(), 1.0)
+
+
+@pytest.mark.parametrize("seed, x, y, w", [(1, 0, 2, 1), (2, 1, 2, 0), (4, 1, 0, 2), (7, 0, 1, 2)])
+def test_factorize_matches_two_power_form(seed, x, y, w):
+    # one psd_eigh serves both quarter powers; the result is the
+    # frac_power(gram, 0.25) / frac_power(gram, -0.25) form to the bit
+    cat, _ = random_block_category(seed)
+    rng = np.random.default_rng(seed + 200)
+    u = cat.random_morphism(rng, x, y)
+    f = cat.random_morphism(rng, w, x)
+    # through the smaller object w, u (f f*) has rank at most dim(w) < dim(x)
+    deficient = cat.morphism(x, y, u.mat @ f.mat @ f.mat.conj().T)
+    assert np.linalg.matrix_rank(deficient.mat, tol=cat.tol.atol) <= cat.dim(w) < cat.dim(x)
+    for a in (u, deficient):
+        gram = a.mat.conj().T @ a.mat
+        v, w_fac = factorize(a)
+        assert np.array_equal(v.mat, a.mat @ frac_power(gram, -0.25, cat.tol))
+        assert np.array_equal(w_fac.mat, frac_power(gram, 0.25, cat.tol))
 
 
 def test_polar_of_unitary_is_itself(m2):

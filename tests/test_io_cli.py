@@ -161,6 +161,25 @@ def test_matrix_codec_round_trip():
     assert np.array_equal(decode_matrix(encode_matrix(m)), m)
 
 
+def _reference_encode(mat):
+    arr = np.asarray(mat, dtype=np.complex128)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+
+
+def test_encode_matrix_matches_elementwise_form():
+    from cstarcat.io import encode_matrix
+
+    tiny = 5e-324  # smallest subnormal
+    m = np.array([
+        [complex(-0.0, 0.0), complex(0.0, -0.0), complex(tiny, -tiny)],
+        [complex(-2.5e-310, 1e-308), complex(1.0, -0.0), complex(-0.0, -0.0)],
+    ])
+    ref = _reference_encode(m)
+    assert json.dumps(encode_matrix(m)) == json.dumps(ref)
+    assert json.dumps(encode_matrix(np.stack([m, -m]))) == json.dumps([ref, _reference_encode(-m)])
+    assert all(type(v) is float for row in encode_matrix(m) for z in row for v in z)
+
+
 @pytest.mark.parametrize("mutate", [
     lambda p: p.pop("base"),
     lambda p: p.update(base="01"),

@@ -8,6 +8,7 @@ from cstarcat.linalg import (
     Tolerance,
     frac_power,
     in_span,
+    null_space,
     op_norm,
     orthonormal_span,
     psd_check,
@@ -189,3 +190,32 @@ def test_tolerance_bound():
     assert tol.ok(1e-7)
     assert tol.ok(5e-4, scale=1.0)
     assert not tol.ok(5e-3, scale=1.0)
+
+
+def _reference_null_space(system, atol):
+    """The full-SVD null space (m×m left factor and all) that null_space replaced."""
+    if system.shape[0] == 0:
+        return np.eye(system.shape[1], dtype=np.complex128), np.zeros(0)
+    _, svals, vh = np.linalg.svd(system)
+    return vh[int(np.sum(svals > atol)):].conj(), svals
+
+
+@pytest.mark.parametrize("rows, cols, planted", [
+    (60, 12, 4),   # tall
+    (12, 12, 5),   # square
+    (5, 12, 3),    # wide: the rows, not the plant, bound the rank
+    (9, 12, 4),    # wide, planted null space decides
+    (0, 7, 0),     # no constraints at all
+])
+def test_null_space_matches_full_svd(rows, cols, planted):
+    rng = np.random.default_rng(rows * 100 + cols)
+    plant, _ = np.linalg.qr(random_complex(rng, cols, planted))
+    system = random_complex(rng, rows, cols) @ (np.eye(cols) - plant @ plant.conj().T)
+    null, svals = null_space(system, TOL)
+    ref, ref_svals = _reference_null_space(system, TOL.atol)
+    assert null.shape == ref.shape == (cols - min(rows, cols - planted), cols)
+    assert np.allclose(svals, ref_svals, rtol=0.0, atol=1e-12 * max(op_norm(system), 1.0))
+    assert op_norm(system @ null.T) <= 1e-12 * max(op_norm(system), 1.0)
+    assert op_norm(null.conj() @ null.T - np.eye(null.shape[0])) <= 1e-12
+    # null.T has the null vectors as columns, so null.T @ null.conj() projects onto them
+    assert op_norm(null.T @ null.conj() - ref.T @ ref.conj()) <= 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cstarcat.category import additive_hull, compose
-from cstarcat.generators import random_block_category
+from cstarcat.generators import FiniteGroupoid, groupoid_category, random_block_category
 from cstarcat.linalg import op_norm
 from cstarcat.multipliers import (
     compose_multipliers,
@@ -33,6 +33,31 @@ def test_multiplier_category_unital_collapse(seed):
     for x in range(cat.n_objects):
         for y in range(cat.n_objects):
             assert mult.dim(x, y) == cat.hom_dim(x, y)
+
+
+def _dihedral(n):
+    names = [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
+    table = [[0] * 2 * n for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            table[i][j] = (i + j) % n
+            table[i][j + n] = n + (i + j) % n
+            table[i + n][j] = n + (i - j) % n
+            table[i + n][j + n] = (i - j) % n
+    return FiniteGroupoid.from_group_table(names, table)
+
+
+@pytest.mark.parametrize("group", [
+    FiniteGroupoid.cyclic(9), FiniteGroupoid.cyclic(10), _dihedral(5),
+], ids=["cyclic9", "cyclic10", "dihedral5"])
+def test_multiplier_collapse_on_larger_groups(group):
+    # constraint systems of 2187×162 to 3000×200: the zoo members the
+    # full-SVD null space was too slow for
+    cat = groupoid_category(group)
+    mult = multiplier_category(cat)
+    assert mult.dim(0, 0) == cat.hom_dim(0, 0) == len(group.morphisms)
+    report = mult.verify()
+    assert report.passed, str(report)
 
 
 def test_kappa_compatibility_identity():
