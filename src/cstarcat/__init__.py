@@ -21,7 +21,6 @@ from .errors import (
 from .linalg import (
     Tolerance,
     default_tolerance,
-    set_default_tolerance,
     op_norm,
     frac_power,
     psd_check,

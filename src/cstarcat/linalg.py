@@ -19,10 +19,10 @@ from .errors import InvalidInput
 __all__ = [
     "Tolerance",
     "default_tolerance",
-    "set_default_tolerance",
     "resolve_tol",
     "as_cmatrix",
     "op_norm",
+    "op_norms",
     "frobenius_norm",
     "herm_eigh",
     "psd_eigh",
@@ -67,12 +67,6 @@ def default_tolerance() -> Tolerance:
     return _default_tol
 
 
-def set_default_tolerance(tol: Tolerance) -> None:
-    """Replace the process-wide default tolerance."""
-    global _default_tol
-    _default_tol = tol
-
-
 def resolve_tol(tol: Tolerance | None) -> Tolerance:
     return _default_tol if tol is None else tol
 
@@ -91,15 +85,23 @@ def as_cmatrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarra
     return arr
 
 
-def op_norm(m) -> float:
-    """Largest singular value, via Hermitian eigendecomposition of ``m* m``."""
-    arr = as_cmatrix(m)
+def op_norms(stack) -> np.ndarray:
+    """Largest singular value of every matrix of a (..., r, c) stack.
+
+    One stacked ``eigvalsh`` of the Gram on the smaller side: ``m m*`` when
+    r < c, else ``m* m``; both have the squared singular values on top.
+    """
+    arr = np.asarray(stack, dtype=np.complex128)
     if arr.size == 0:
-        return 0.0
-    gram = arr.conj().T @ arr
-    evals = np.linalg.eigvalsh(gram)
-    top = float(evals[-1]) if evals.size else 0.0
-    return float(np.sqrt(max(top, 0.0)))
+        return np.zeros(arr.shape[:-2])
+    adj = arr.conj().swapaxes(-1, -2)
+    gram = arr @ adj if arr.shape[-2] < arr.shape[-1] else adj @ arr
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+
+
+def op_norm(m) -> float:
+    """Largest singular value of one matrix (``op_norms`` with no stack axes)."""
+    return float(op_norms(as_cmatrix(m)))
 
 
 def frobenius_norm(m) -> float:

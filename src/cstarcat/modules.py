@@ -405,21 +405,22 @@ def unitary_operator_report(T: ModuleOperator, tol: Tolerance | None = None) -> 
     Inner-product preservation is T*T = id on the domain; surjectivity at
     every object is reported as the worst rank deficit, and together they
     force TT* = id on the codomain.
+
+    The rank at y is taken over the images T e_r of the embedded block
+    basis e_r of the domain's base at y (one hom-basis element in one
+    block).  Since T = T P, these have the singular values of T over the
+    evaluation space plus zeros, so no domain evaluation basis is built.
     """
     tol = resolve_tol(tol if tol is not None else T.dom.tol)
     report = Report(context="unitary-operator")
     report.add("isometry", op_norm(T.block.conj().T @ T.block - T.dom.proj), tol.bound(1.0))
     report.add("co-isometry", op_norm(T.block @ T.block.conj().T - T.cod.proj), tol.bound(1.0))
-    deficit = 0
-    for y in range(T.dom.cat.n_objects):
-        images = [T.apply(e).col for e in T.dom.eval_basis(y)]
-        target = T.cod.eval_dim(y)
-        if images:
-            flat = np.stack([c.ravel() for c in images])
-            rank = np.linalg.matrix_rank(flat, tol=tol.atol)
-        else:
-            rank = 0
-        deficit = max(deficit, target - rank)
+    cat, deficit = T.dom.cat, 0
+    for y in range(cat.n_objects):
+        images = [T.block[:, sl] @ cat.hom_basis(y, x) for x, sl in zip(T.dom.base, T.dom.slices)]
+        flat = np.concatenate(images).reshape(-1, T.cod.total_dim * cat.dim(y))
+        rank = np.linalg.matrix_rank(flat, tol=tol.atol) if flat.shape[0] else 0
+        deficit = max(deficit, T.cod.eval_dim(y) - rank)
     report.add("surjectivity-deficit", float(deficit), 0.5)
     return report
 

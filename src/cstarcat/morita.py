@@ -14,11 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, NotInvertible
-from .linalg import Tolerance, frac_power, op_norm, psd_eigh, resolve_tol
+from .linalg import Tolerance, frac_power, op_norm, op_norms, psd_eigh, resolve_tol
 from .category import (
     CStarCategory,
     MatrixAlgebra,
     Morphism,
+    _object_rows,
     _size_slices,
     block_slices,
     list_dim,
@@ -92,27 +93,51 @@ class BiHilbertData:
 
     def left_product(self, e: ModuleElement, f: ModuleElement) -> Morphism:
         """The source morphism with action theta^{e,f}, from f's fiber to e's."""
+        mat = self.left_product_block([e], [f])
+        return Morphism(self.bimodule.source, _fiber_of(self.bimodule, f),
+                        _fiber_of(self.bimodule, e), mat, validate=False)
+
+    def left_product_block(self, es, fs) -> np.ndarray:
+        """Every left product between two element lists, as one block matrix.
+
+        Block (a, b) is the left product of ``es[a]`` and ``fs[b]``, from
+        f_b's fiber to e_a's; the blocks follow the fibers' dimensions.  Per
+        pair of fibers there is one stacked theta, one solve against the
+        pseudo-inverse of the action and one stacked residual check.
+        """
         E = self.bimodule
-        x = _fiber_of(E, e)
-        xp = _fiber_of(E, f)
-        if e.at != f.at:
+        src = E.source
+        xs = [_fiber_of(E, e) for e in es]
+        xps = [_fiber_of(E, f) for f in fs]
+        if len({el.at for el in (*es, *fs)}) > 1:
             raise InvalidInput("left products need elements at one target object")
-        theta = e.col @ f.col.conj().T
-        pinv, k = self._solver(xp, x)
-        if k == 0:
-            if op_norm(theta) > self.tol.bound(max(e.norm() * f.norm(), 1.0)) * 100:
-                raise NotInvertible(
-                    "nonzero single-rank operator over an empty hom-space"
-                )
-            return E.source.zero(xp, x)
-        coords = pinv @ theta.ravel()
-        candidate = E.source.hom_element(xp, x, coords)
-        residual = op_norm(E.mor(candidate).block - theta)
-        if residual > self.tol.bound(max(op_norm(theta), 1.0)) * 100:
-            raise NotInvertible(
-                f"single-rank operator is outside the action image ({residual:.3e})"
-            )
-        return candidate
+        out = np.zeros((list_dim(src, xs), list_dim(src, xps)), dtype=np.complex128)
+        cols = _object_rows(src, xps)
+        for x, r in _object_rows(src, xs).items():
+            e_cols = np.stack([e.col for e, xa in zip(es, xs) if xa == x])
+            for xp, c in cols.items():
+                f_cols = np.stack([f.col for f, xb in zip(fs, xps) if xb == xp])
+                theta = e_cols[:, None] @ f_cols.conj().swapaxes(-1, -2)[None]
+                pinv, k = self._solver(xp, x)
+                if k == 0:
+                    scale = np.multiply.outer(op_norms(e_cols), op_norms(f_cols))
+                    if np.any(op_norms(theta) > self.tol.bound(np.maximum(scale, 1.0)) * 100):
+                        raise NotInvertible(
+                            "nonzero single-rank operator over an empty hom-space"
+                        )
+                    continue
+                coords = theta.reshape(theta.shape[:2] + (-1,)) @ pinv.T
+                basis = src.hom_basis(xp, x)
+                mats = (coords @ basis.reshape(k, -1)).reshape(theta.shape[:2] + basis.shape[1:])
+                acted = E._act(xp, x, mats).reshape(theta.shape)
+                # residuals and theta norms in one stacked eigensolve
+                residual, scale = op_norms(np.stack([acted - theta, theta]))
+                over = residual > self.tol.bound(np.maximum(scale, 1.0)) * 100
+                if np.any(over):
+                    raise NotInvertible("single-rank operator is outside the action image "
+                                        f"({residual[over][0]:.3e})")
+                out[r[:, None, :, None], c[None, :, None, :]] = mats
+        return out
 
 
 def _fiber_of(E: Bimodule, e: ModuleElement) -> int:
@@ -256,17 +281,7 @@ class ConjugateBimodule:
                 self.isqrt[y] = zero
                 ob_map.append(HilbertModule(src, (0,), zero, tol=self.tol, validate=False))
                 continue
-            slices = block_slices(src, objects)
-            total = list_dim(src, objects)
-            gram = np.zeros((total, total), dtype=np.complex128)
-            for a, ea in enumerate(gens):
-                for b, eb in enumerate(gens):
-                    if b < a:
-                        continue
-                    prod = data.left_product(ea, eb)
-                    gram[slices[a], slices[b]] = prod.mat
-                    if b > a:
-                        gram[slices[b], slices[a]] = prod.mat.conj().T
+            gram = data.left_product_block(gens, gens)
             gram = 0.5 * (gram + gram.conj().T)
             evals, evecs = psd_eigh(gram, self.tol)
             keep = evals > 0.0
@@ -426,10 +441,9 @@ def morita_source_map(data: BiHilbertData,
                 conj.bimodule.hull_extend((y,), fiber.base, m.col) @ (support * root)
                 for m in basis
             ], axis=1)
-            lefts = np.concatenate([
-                np.concatenate([data.left_product(m, e).mat for e in gens], axis=1) @ support
-                for m in basis
-            ], axis=1)
+            # row blocks of the left products, one per m, set side by side
+            lefts = (data.left_product_block(basis, gens) @ support).reshape(
+                len(basis), src.dim(x), -1).transpose(1, 0, 2).reshape(src.dim(x), -1)
             second_moment += frames @ frames.conj().T
             cross += lefts @ frames.conj().T
             seen = True

@@ -18,7 +18,7 @@ from cstarcat.bimodules import (
     verify_bimodule,
     yoneda_bimodule,
 )
-from cstarcat.category import CStarCategory
+from cstarcat.category import CStarCategory, _size_slices, block_slices, random_block
 from cstarcat.generators import (
     bimodule_from_functor,
     degenerate_double,
@@ -338,3 +338,39 @@ def test_quotient_oracle_matches_pairwise_reference(kind, case):
         if grams[z].size:
             scale = max(float(np.max(np.abs(grams[z]))), 1.0)
             assert np.max(np.abs(oracle.gram[z] - grams[z])) <= 1e-12 * scale
+
+
+def _reference_hull_extend(E, src_list, dst_list, block):
+    """The action applied one block at a time."""
+    rows, cols = block_slices(E.source, dst_list), block_slices(E.source, src_list)
+    rows_out = _size_slices([E.ob(y).total_dim for y in dst_list])
+    cols_in = _size_slices([E.ob(x).total_dim for x in src_list])
+    out = np.zeros((rows_out[-1].stop, cols_in[-1].stop), dtype=np.complex128)
+    for j, y in enumerate(dst_list):
+        for i, x in enumerate(src_list):
+            acted = E._act(x, y, block[rows[j], cols[i]])
+            out[rows_out[j], cols_in[i]] = acted.reshape(rows_out[j].stop - rows_out[j].start,
+                                                         cols_in[i].stop - cols_in[i].start)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["yoneda", "twist", "conjugate"])
+@pytest.mark.parametrize("src_list, dst_list", [((0, 1, 0), (1, 0, 1, 1)), ((1,), (0, 1, 0))])
+def test_hull_extend_matches_per_pair_action(kind, src_list, dst_list):
+    from cstarcat.morita import check_imprimitivity, conjugate_bimodule
+
+    base, _ = random_block_category(3, n_objects=2, max_mult=2)
+    E = {
+        "yoneda": lambda: yoneda_bimodule(base),
+        "twist": lambda: bimodule_from_functor(unitary_twist_functor(base, seed=11)),
+        "conjugate": lambda: conjugate_bimodule(
+            check_imprimitivity(yoneda_bimodule(base))[0]).bimodule,
+    }[kind]()
+    src = E.source
+    rng = np.random.default_rng(len(src_list))
+    shape = (sum(src.dim(y) for y in dst_list), sum(src.dim(x) for x in src_list))
+    for block in (random_block(rng, src, src_list, dst_list),
+                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+        ref = _reference_hull_extend(E, src_list, dst_list, block)
+        got = E.hull_extend(src_list, dst_list, block)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)

@@ -6,6 +6,9 @@ import pytest
 from cstarcat.category import (
     CStarCategory,
     CStarFunctor,
+    block_project,
+    block_residual,
+    block_slices,
     cofactorize,
     compose,
     factorize,
@@ -17,7 +20,14 @@ from cstarcat.category import (
 )
 from cstarcat.errors import ClosureViolation, CompositionMismatch, NotInvertible
 from cstarcat.generators import FiniteGroupoid, groupoid_category, random_block_category
-from cstarcat.linalg import frac_power, op_norm
+from cstarcat.linalg import (
+    frac_power,
+    op_norm,
+    span_coords,
+    span_eval,
+    span_project,
+    span_residual,
+)
 
 
 def test_verify_full_matrix_category(m2):
@@ -231,3 +241,109 @@ def test_out_of_range_keys_are_rejected(m2):
     action = {(0, 0): m2.hom_basis(0, 0), (0, 1): m2.hom_basis(0, 0)}
     with pytest.raises(InvalidInput):
         CStarFunctor(m2, m2, [0], action)
+
+
+def _reference_block_project(cat, src_lst, dst_lst, mat):
+    """One span projection per block."""
+    out = np.zeros_like(mat)
+    rows, cols = block_slices(cat, dst_lst), block_slices(cat, src_lst)
+    for j, y in enumerate(dst_lst):
+        for i, x in enumerate(src_lst):
+            out[rows[j], cols[i]] = span_project(mat[rows[j], cols[i]], cat.hom_basis(x, y))
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+@pytest.mark.parametrize("src_lst, dst_lst", [
+    ((0, 1, 0), (1, 0, 2, 0)),
+    ((2,), (0, 2, 1, 2)),
+    ((1, 2, 1), (0,)),
+])
+def test_block_project_matches_per_block_loop(seed, src_lst, dst_lst):
+    cat, _ = random_block_category(seed, n_objects=3)
+    assert any(cat.hom_dim(x, y) == 0 for x in range(3) for y in range(3))
+    rng = np.random.default_rng(seed)
+    shape = (sum(cat.dim(y) for y in dst_lst), sum(cat.dim(x) for x in src_lst))
+    mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = _reference_block_project(cat, src_lst, dst_lst, mat)
+    got = block_project(cat, src_lst, dst_lst, mat)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(mat))
+    assert block_residual(cat, src_lst, dst_lst, mat) == pytest.approx(
+        np.linalg.norm(mat - ref), rel=1e-12)
+
+
+def _reference_closure(cat):
+    """Unit, involution and composition residuals, one element at a time."""
+    n = cat.n_objects
+    unit = max(span_residual(np.eye(cat.dim(x)), cat.hom_basis(x, x)) for x in range(n))
+    inv = comp = 0.0
+    for x in range(n):
+        for y in range(n):
+            for b in cat.hom_basis(x, y):
+                inv = max(inv, span_residual(b.conj().T, cat.hom_basis(y, x)))
+            for z in range(n):
+                for f in cat.hom_basis(y, z):
+                    for g in cat.hom_basis(x, y):
+                        comp = max(comp, span_residual(f @ g, cat.hom_basis(x, z)))
+    return {"unit-membership": unit, "involution-closure": inv, "composition-closure": comp}
+
+
+def _not_closed_category():
+    """hom(0, 1) holds a matrix unit, hom(1, 0) not its adjoint, and
+    hom(0, 0) leaves out the unit."""
+    e = np.zeros((2, 2))
+    e[0, 1] = 1.0
+    return CStarCategory([("x", 2), ("y", 2)], {(0, 0): [e], (0, 1): [e], (1, 0): [e.T + e]})
+
+
+@pytest.mark.parametrize("case", [3, 5, 9, "not-closed"])
+def test_closure_residuals_match_per_element_loop(case):
+    if case == "not-closed":
+        cat = _not_closed_category()
+    else:
+        cat, _ = random_block_category(case, n_objects=3)
+    checks = {c.name: c.residual for c in verify_category(cat).checks}
+    for name, ref in _reference_closure(cat).items():
+        assert abs(checks[name] - ref) <= 1e-13 * max(ref, 1.0)
+    if case == "not-closed":
+        assert min(_reference_closure(cat).values()) > 0.1
+
+
+def _reference_functor_residuals(F):
+    """Multiplicativity and *-preservation, one basis element at a time."""
+    src, n = F.source, F.source.n_objects
+
+    def image(x, y, mat):
+        return span_eval(span_coords(mat, src.hom_basis(x, y)), F.image_stack(x, y),
+                         shape=F.image_stack(x, y).shape[1:])
+
+    mult = star = 0.0
+    for x in range(n):
+        for y in range(n):
+            for b, Fb in zip(src.hom_basis(x, y), F.image_stack(x, y)):
+                star = max(star, op_norm(image(y, x, b.conj().T) - Fb.conj().T))
+            for z in range(n):
+                for f, Ff in zip(src.hom_basis(y, z), F.image_stack(y, z)):
+                    for g, Fg in zip(src.hom_basis(x, y), F.image_stack(x, y)):
+                        mult = max(mult, op_norm(image(x, z, f @ g) - Ff @ Fg))
+    return {"multiplicativity": mult, "star-preservation": star}
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.3])
+def test_functor_residuals_match_per_element_loop(perturb):
+    from cstarcat.generators import unitary_twist_functor
+
+    cat, _ = random_block_category(5, n_objects=3)
+    F = unitary_twist_functor(cat, seed=2)
+    rng = np.random.default_rng(4)
+    action = {
+        (x, y): F.image_stack(x, y) + perturb * rng.standard_normal(F.image_stack(x, y).shape)
+        for x in range(3) for y in range(3)
+    }
+    F = CStarFunctor(cat, cat, range(3), action)
+    checks = {c.name: c.residual for c in verify_functor(F).checks}
+    for name, ref in _reference_functor_residuals(F).items():
+        assert abs(checks[name] - ref) <= 1e-13 * max(ref, 1.0)
+        assert (ref > 0.01) == (perturb > 0)
+    with pytest.raises(ClosureViolation):
+        verify_functor(identity_functor(_not_closed_category()))

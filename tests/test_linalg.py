@@ -10,6 +10,7 @@ from cstarcat.linalg import (
     in_span,
     null_space,
     op_norm,
+    op_norms,
     orthonormal_span,
     psd_check,
     random_complex,
@@ -219,3 +220,24 @@ def test_null_space_matches_full_svd(rows, cols, planted):
     assert op_norm(null.conj() @ null.T - np.eye(null.shape[0])) <= 1e-12
     # null.T has the null vectors as columns, so null.T @ null.conj() projects onto them
     assert op_norm(null.T @ null.conj() - ref.T @ ref.conj()) <= 1e-12
+
+
+def _reference_op_norm(m):
+    """One matrix at a time: ``eigvalsh`` of the full m* m."""
+    if m.size == 0:
+        return 0.0
+    return float(np.sqrt(max(np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0)))
+
+
+@pytest.mark.parametrize("shape", [(6, 3, 8), (6, 8, 3), (5, 7, 7), (0, 4, 5), (3, 0, 4), (1, 1, 1)])
+def test_op_norms_match_the_per_matrix_loop(shape):
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if shape[0] > 1 and min(shape[1:]) > 1:
+        stack[0] = np.outer(stack[0][:, 0], stack[0][0])  # rank one
+    got = op_norms(stack)
+    assert got.shape == shape[:1]
+    for m, g in zip(stack, got):
+        ref = _reference_op_norm(m)
+        assert abs(g - ref) <= 1e-13 * max(ref, 1e-300)
+        assert op_norm(m) == pytest.approx(g, rel=1e-13, abs=0.0)

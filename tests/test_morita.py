@@ -14,7 +14,7 @@ from cstarcat.bimodules import (
     yoneda_bimodule,
 )
 from cstarcat.category import CStarCategory, CStarFunctor, polar_unitary
-from cstarcat.errors import InvalidInput
+from cstarcat.errors import InvalidInput, NotInvertible
 from cstarcat.generators import (
     bimodule_from_functor,
     random_block_category,
@@ -22,8 +22,17 @@ from cstarcat.generators import (
     unitary_twist_functor,
 )
 from cstarcat.linalg import op_norm
-from cstarcat.modules import ModuleOperator, inner_product, representable
+from cstarcat.modules import (
+    HilbertModule,
+    ModuleOperator,
+    direct_sum,
+    inner_product,
+    representable,
+    unitary_operator_report,
+)
 from cstarcat.morita import (
+    BiHilbertData,
+    _fiber_of,
     check_full,
     check_imprimitivity,
     conjugate_bimodule,
@@ -477,3 +486,150 @@ def test_source_map_matches_reference_solve(case):
     reference = _reference_source_blocks(data, conj, psi.dom)
     for comp, ref in zip(psi.components, reference):
         assert op_norm(comp.block - ref) <= 1e-10
+
+
+def _reference_left_product(data, e, f):
+    """One left product at a time: theta solved against the pseudo-inverse
+    of the action, then the candidate's residual checked."""
+    E = data.bimodule
+    x, xp = _fiber_of(E, e), _fiber_of(E, f)
+    if e.at != f.at:
+        raise InvalidInput("left products need elements at one target object")
+    theta = e.col @ f.col.conj().T
+    pinv, k = data._solver(xp, x)
+    if k == 0:
+        if op_norm(theta) > data.tol.bound(max(e.norm() * f.norm(), 1.0)) * 100:
+            raise NotInvertible("nonzero single-rank operator over an empty hom-space")
+        return E.source.zero(xp, x).mat
+    candidate = E.source.hom_element(xp, x, pinv @ theta.ravel())
+    residual = op_norm(E.mor(candidate).block - theta)
+    if residual > data.tol.bound(max(op_norm(theta), 1.0)) * 100:
+        raise NotInvertible(f"single-rank operator is outside the action image ({residual:.3e})")
+    return candidate.mat
+
+
+@pytest.mark.parametrize("case", ["yoneda", "seed4"])
+def test_left_product_block_matches_per_pair_reference(case):
+    from cstarcat.category import block_slices
+
+    if case == "yoneda":
+        cat = random_block_category(90, n_objects=2)[0]
+        data, _ = check_imprimitivity(yoneda_bimodule(cat))
+    else:
+        cat, _ = random_block_category(4, n_objects=2, max_mult=2)
+        _, data = mat_equivalence(cat)
+    E, rng = data.bimodule, np.random.default_rng(5)
+    src = E.source
+    for y in range(E.target.n_objects):
+        fibers = [E.ob(x) for x in range(src.n_objects)]
+        # fibers repeated and interleaved, basis and random elements mixed
+        es = [e for fib in fibers[::-1] for e in fib.eval_basis(y)] + fibers[-1].eval_basis(y)[:1]
+        fs = [fib.random_element(rng, y) for fib in fibers * 2] + fibers[0].eval_basis(y)
+        got = data.left_product_block(es, fs)
+        rows = block_slices(src, [_fiber_of(E, e) for e in es])
+        cols = block_slices(src, [_fiber_of(E, f) for f in fs])
+        assert got.shape == (rows[-1].stop if rows else 0, cols[-1].stop)
+        for a, e in enumerate(es):
+            for b, f in enumerate(fs):
+                ref = _reference_left_product(data, e, f)
+                assert np.max(np.abs(got[rows[a], cols[b]] - ref), initial=0.0) <= 1e-12
+                assert np.max(np.abs(data.left_product(e, f).mat - ref), initial=0.0) <= 1e-12
+
+
+def _two_point_bimodule():
+    """Source: two 1-dimensional objects with no morphism between them.
+    Fibers over a 1-dimensional target object: C, and C^2 acted on by scalars."""
+    source = CStarCategory([("a", 1), ("b", 1)], {(0, 0): [np.eye(1)], (1, 1): [np.eye(1)]})
+    target = CStarCategory([("t", 1)], {(0, 0): [np.eye(1)]})
+    ob_map = [representable(target, 0), HilbertModule(target, (0, 0), np.eye(2))]
+    return Bimodule(source, target, ob_map, {(0, 0): np.eye(1)[None], (1, 1): np.eye(2)[None]})
+
+
+def test_left_product_block_errors():
+    E = _two_point_bimodule()
+    data = BiHilbertData(E)
+    one = E.ob(0).element(0, [[1.0]])
+    first, second = E.ob(1).element(0, [[1.0], [0.0]]), E.ob(1).element(0, [[0.0], [1.0]])
+    # theta is nonzero but hom(b, a) is empty
+    for call in (lambda: data.left_product_block([one], [first]),
+                 lambda: data.left_product(one, first)):
+        with pytest.raises(NotInvertible, match="over an empty hom-space"):
+            call()
+    # theta is a matrix unit, the action only reaches scalars
+    for call in (lambda: data.left_product_block([first, second], [second]),
+                 lambda: data.left_product(first, second)):
+        with pytest.raises(NotInvertible, match="outside the action image"):
+            call()
+    assert np.allclose(data.left_product_block([one, one], [one]), [[1.0], [1.0]])
+    cat = random_block_category(90, n_objects=2)[0]
+    yon, _ = check_imprimitivity(yoneda_bimodule(cat))
+    mixed = [yon.bimodule.ob(0).eval_basis(y)[0] for y in range(2)]
+    with pytest.raises(InvalidInput, match="one target object"):
+        yon.left_product_block(mixed[:1], mixed)
+
+
+def _reference_surjectivity_deficit(T, tol):
+    """The rank of T over the domain's evaluation basis at each object."""
+    deficit = 0
+    for y in range(T.dom.cat.n_objects):
+        images = [T.apply(e).col.ravel() for e in T.dom.eval_basis(y)]
+        rank = np.linalg.matrix_rank(np.stack(images), tol=tol.atol) if images else 0
+        deficit = max(deficit, T.cod.eval_dim(y) - rank)
+    return float(deficit)
+
+
+def _surjectivity_case(case):
+    if case == "corner":
+        data, _ = check_imprimitivity(corner_bimodule())
+        return morita_target_map(data).components
+    if case == "rank-deficient":
+        # the projection of M ⊕ M onto its first summand
+        cat = random_block_category(90, n_objects=2)[0]
+        M = random_module(98, cat)
+        S, _ = direct_sum([M, M])
+        block = S.proj.copy()
+        block[M.total_dim:] = 0.0
+        return [ModuleOperator(S, S, block, validate=False)]
+    cat, _ = random_block_category(int(case[4:]), n_objects=2, max_mult=2)
+    _, data = mat_equivalence(cat)
+    conj = conjugate_bimodule(data)
+    return morita_target_map(data, conj).components + morita_source_map(data, conj).components
+
+
+@pytest.mark.parametrize("case", ["seed4", "seed7", "corner", "rank-deficient"])
+def test_surjectivity_deficit_matches_eval_basis_route(case):
+    deficits = []
+    for T in _surjectivity_case(case):
+        checks = {c.name: c.residual for c in unitary_operator_report(T).checks}
+        deficits.append(checks["surjectivity-deficit"])
+        assert deficits[-1] == _reference_surjectivity_deficit(T, T.dom.tol)
+    assert (max(deficits) > 0) == (case in ("corner", "rank-deficient"))
+
+
+def test_morita_path_makes_stacked_kernel_calls(monkeypatch):
+    # the conjugate and the source map take left products as whole blocks;
+    # verification takes one eigensolve per hom pair, not per basis element
+    cat, _ = random_block_category(4, n_objects=2, max_mult=2)
+    _, data = mat_equivalence(cat)
+    calls = {"left": 0, "eig": 0}
+    left, eigvalsh = BiHilbertData.left_product, np.linalg.eigvalsh
+
+    def counting_left(self, e, f):
+        calls["left"] += 1
+        return left(self, e, f)
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls["eig"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(BiHilbertData, "left_product", counting_left)
+    conj = conjugate_bimodule(data)
+    maps = (morita_target_map(data, conj), morita_source_map(data, conj))
+    assert calls["left"] == 0
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    for m in maps:
+        n = m.dom.source.n_objects
+        calls["eig"] = 0
+        assert m.verify_natural().passed and m.unitary_report().passed
+        # n * n hom pairs; isometry and co-isometry per component
+        assert 0 < calls["eig"] <= n * n + 2 * n
