@@ -234,14 +234,12 @@ def check_nondegenerate(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool
         module = E.ob(x)
         for z in range(dst.n_objects):
             target_dim = module.eval_dim(z)
-            images = []
-            for y in range(src.n_objects):
-                for T in E.mor_stack(y, x):
-                    for e in E.ob(y).eval_basis(z):
-                        images.append((T @ e.col).ravel())
-            rank = 0
-            if images:
-                rank = np.linalg.matrix_rank(np.stack(images), tol=tol.atol)
+            images = [
+                (E.mor_stack(y, x)[:, None] @ E.ob(y).eval_stack(z)[None]).reshape(
+                    -1, module.total_dim * dst.dim(z))
+                for y in range(src.n_objects)
+            ]
+            rank = np.linalg.matrix_rank(np.concatenate(images), tol=tol.atol)
             deficit = max(deficit, target_dim - int(rank))
     rank_ok = deficit == 0
     report.add("span-rank-deficit", float(deficit), 0.5)

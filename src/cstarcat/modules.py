@@ -137,6 +137,12 @@ class HilbertModule:
     def eval_dim(self, at: int) -> int:
         return len(self.eval_basis(at))
 
+    def eval_stack(self, at: int) -> np.ndarray:
+        """The evaluation basis at ``at`` as one stack of columns."""
+        cols = [e.col for e in self.eval_basis(at)]
+        shape = (len(cols), self.total_dim, self.cat.dim(at))
+        return np.array(cols, dtype=np.complex128).reshape(shape)
+
     def identity(self) -> "ModuleOperator":
         return ModuleOperator(self, self, self.proj, validate=False)
 

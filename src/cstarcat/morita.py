@@ -20,7 +20,6 @@ from .category import (
     MatrixAlgebra,
     Morphism,
     _object_rows,
-    _size_slices,
     block_slices,
     list_dim,
     matrix_algebra,
@@ -161,14 +160,10 @@ def check_full(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool, Report]
                 continue
             coords = []
             for x in range(E.source.n_objects):
-                fiber = E.ob(x)
-                for e in fiber.eval_basis(yp):
-                    for f in fiber.eval_basis(y):
-                        prod = e.col.conj().T @ f.col
-                        coords.append(dst.hom_coords(y, yp, prod))
-            rank = 0
-            if coords:
-                rank = int(np.linalg.matrix_rank(np.stack(coords), tol=tol.atol))
+                es, fs = E.ob(x).eval_stack(yp), E.ob(x).eval_stack(y)
+                prods = es.conj().swapaxes(-1, -2)[:, None] @ fs[None]  # <e, f> per pair
+                coords.append(dst.hom_coords(y, yp, prods).reshape(-1, target_dim))
+            rank = int(np.linalg.matrix_rank(np.concatenate(coords), tol=tol.atol))
             deficit = max(deficit, target_dim - rank)
     report.add("product-span-deficit", float(deficit), 0.5)
     return deficit == 0, report
@@ -258,9 +253,6 @@ class ConjugateBimodule:
         self.supp: dict[int, np.ndarray] = {}
         self.sqrt: dict[int, np.ndarray] = {}
         self.isqrt: dict[int, np.ndarray] = {}
-        # per nonzero fiber: the isometry onto the support of the generator
-        # Gram and the roots of its kept eigenvalues (sqrt = V diag(root) V*)
-        self._spectral: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         ob_map = []
         for y in range(dst.n_objects):
             gens = []
@@ -286,7 +278,6 @@ class ConjugateBimodule:
             evals, evecs = psd_eigh(gram, self.tol)
             keep = evals > 0.0
             support, root = evecs[:, keep], np.sqrt(evals[keep])
-            self._spectral[y] = (support, root)
             self.sqrt[y] = (support * root) @ support.conj().T
             self.isqrt[y] = (support / root) @ support.conj().T
             self.supp[y] = support @ support.conj().T
@@ -306,42 +297,37 @@ class ConjugateBimodule:
                 mor_blocks[(y, yp)] = stack
         self.bimodule = Bimodule(dst, src, ob_map, mor_blocks, tol=self.tol, validate=False)
 
+    def _coefficients(self, y: int, x: int, col: np.ndarray) -> np.ndarray:
+        """Conjugated coefficients of an element of E(x) at y over the
+        generators at y, as a block column of scalar identities."""
+        src = self.original.bimodule.source
+        objs = self.gen_objects[y]
+        rows = block_slices(src, objs)
+        out = np.zeros((list_dim(src, objs), src.dim(x)), dtype=np.complex128)
+        for a, (e, xa) in enumerate(zip(self.gens[y], objs)):
+            if xa != x:
+                continue
+            coeff = np.vdot(e.col, col)
+            if abs(coeff) < 1e-16:
+                continue
+            out[rows[a]] = np.conj(coeff) * np.eye(src.dim(x))
+        return out
+
     def _coefficient_pattern(self, E: Bimodule, y: int, yp: int, b: np.ndarray) -> np.ndarray:
         """Blocks of conjugated coefficients of e_α · b* in the y' basis."""
         src = E.source
-        gens_y, objs_y = self.gens[y], self.gen_objects[y]
-        gens_yp, objs_yp = self.gens[yp], self.gen_objects[yp]
-        rows = block_slices(src, objs_yp)
-        cols = block_slices(src, objs_y)
-        out = np.zeros((list_dim(src, objs_yp), list_dim(src, objs_y)), dtype=np.complex128)
-        for a, (e, x) in enumerate(zip(gens_y, objs_y)):
-            moved = e.col @ b.conj().T  # e · b*, an element at yp
-            for ap, (ep, xp) in enumerate(zip(gens_yp, objs_yp)):
-                if xp != x:
-                    continue
-                coeff = np.vdot(ep.col, moved)
-                if abs(coeff) < 1e-16:
-                    continue
-                out[rows[ap], cols[a]] = np.conj(coeff) * np.eye(src.dim(x))
+        cols = block_slices(src, self.gen_objects[y])
+        out = np.zeros((list_dim(src, self.gen_objects[yp]), list_dim(src, self.gen_objects[y])),
+                       dtype=np.complex128)
+        for a, (e, x) in enumerate(zip(self.gens[y], self.gen_objects[y])):
+            out[:, cols[a]] = self._coefficients(yp, x, e.col @ b.conj().T)  # e · b* at yp
         return out
 
     def element_of(self, f: ModuleElement) -> ModuleElement:
         """Presentation column of the conjugate of an original element."""
-        E = self.original.bimodule
-        x = _fiber_of(E, f)
-        y = f.at
-        gens, objs = self.gens[y], self.gen_objects[y]
-        cols = block_slices(E.source, objs)
-        pattern = np.zeros((list_dim(E.source, objs), E.source.dim(x)), dtype=np.complex128)
-        for a, (e, xa) in enumerate(zip(gens, objs)):
-            if xa != x:
-                continue
-            coeff = np.vdot(e.col, f.col)
-            if abs(coeff) < 1e-16:
-                continue
-            pattern[cols[a], :] = np.conj(coeff) * np.eye(E.source.dim(x))
-        module = self.bimodule.ob(y)
-        return ModuleElement(module, x, self.sqrt[y] @ pattern, validate=False)
+        x, y = _fiber_of(self.original.bimodule, f), f.at
+        pattern = self._coefficients(y, x, f.col)
+        return ModuleElement(self.bimodule.ob(y), x, self.sqrt[y] @ pattern, validate=False)
 
     def element_to(self, c: ModuleElement) -> ModuleElement:
         """Original element conjugated by a presentation column."""
@@ -397,78 +383,32 @@ def morita_source_map(data: BiHilbertData,
                       conj: ConjugateBimodule | None = None) -> BimoduleMap:
     """The map E ⊗ conj(E) -> Yoneda(source) sending e ⊗ f̃ to the left product.
 
-    The component at x is the least-squares fit of the simple-tensor
-    correspondence over the compressed block space: it maps each column
-    v = m ⊗ g_β (m in the evaluation basis of E(x), g_β a conjugate
-    generator) as close as possible to the left product t of m and e_β,
-    among the operators W P with W in the block hom-space from the tensor's
-    base list (x_1, ..., x_n) to x and P the tensor's projection.  Each
-    column is v = P u for the extended action u of m on g_β, so with
-    M = Σ u u* the normal equations gram c = rhs read, over the bases b_i
-    of hom(x_i, x) and with Q = P M P,
-
-        gram[(i, a), (j, c)] = tr(b_ia* b_jc Q[sl_j, sl_i]),
-        rhs[(i, a)] = <b_ia, ((Σ t u*) P)[:, sl_i]>,
-
-    assembled per block pair of the base list in hom coordinates; the
-    component is W P for W = Σ c_ia b_ia.  M and Σ t u* grow by one GEMM
-    per evaluation object.  The solve residual is part of the naturality
-    and unitarity verification downstream.  Unitary exactly when the
-    bimodule is full on the source side.
+    The tensor at x is presented on the conjugate fibers over the base
+    (z_1, ..., z_n) of E(x), and the i-th block column of E(x)'s projection
+    P is a unit u_i at z_i with m = Σ u_i · m_i for every m.  So the
+    component at x is the row of left products of each u_i with the
+    conjugate generators at z_i, corrected by their inverse root.  It needs
+    no compression: Σ_i u_i · P_ij = u_j, so the row is unchanged by the
+    tensor's projection.  Unitary exactly when the bimodule is full on the
+    source side.
     """
     E = data.bimodule
-    src, dst = E.source, E.target
+    src = E.source
     conj = conj if conj is not None else conjugate_bimodule(data)
     dom = tensor_bimodule_bimodule(E, conj.bimodule)
     cod = yoneda_bimodule(src)
     comps = []
     for x in range(src.n_objects):
         fiber, module = E.ob(x), dom.ob(x)
-        proj, d_s = module.proj, module.total_dim
-        second_moment = np.zeros((d_s, d_s), dtype=np.complex128)
-        cross = np.zeros((src.dim(x), d_s), dtype=np.complex128)
-        seen = False
-        for y in range(dst.n_objects):
-            gens, basis = conj.gens[y], fiber.eval_basis(y)
-            if not gens or not basis:
-                continue
-            # the u of all m ⊗ g_β at this y are the columns of A_m sqrt, with
-            # A_m the conjugate action of m's blocks and sqrt = V diag(r) V*;
-            # so Σ u u* = Σ F F* and Σ t u* = Σ (T_m V) F* for the thin
-            # F = A_m V diag(r), T_m the left products of m with every e_β
-            support, root = conj._spectral[y]
-            frames = np.concatenate([
-                conj.bimodule.hull_extend((y,), fiber.base, m.col) @ (support * root)
-                for m in basis
-            ], axis=1)
-            # row blocks of the left products, one per m, set side by side
-            lefts = (data.left_product_block(basis, gens) @ support).reshape(
-                len(basis), src.dim(x), -1).transpose(1, 0, 2).reshape(src.dim(x), -1)
-            second_moment += frames @ frames.conj().T
-            cross += lefts @ frames.conj().T
-            seen = True
-        bases = [src.hom_basis(xi, x) for xi in module.base]
-        spans = _size_slices([b.shape[0] for b in bases])
-        k = spans[-1].stop
-        block = np.zeros((src.dim(x), d_s), dtype=np.complex128)
-        if seen and k:
-            moment = proj @ second_moment @ proj
-            target = cross @ proj
-            gram = np.zeros((k, k), dtype=np.complex128)
-            rhs = np.zeros(k, dtype=np.complex128)
-            for i, xi in enumerate(module.base):
-                rows, cols_i = spans[i], module.slices[i]
-                rhs[rows] = src.hom_coords(xi, x, target[:, cols_i])
-                for j, b_j in enumerate(bases):
-                    gram[rows, spans[j]] = src.hom_coords(
-                        xi, x, b_j @ moment[module.slices[j], cols_i]).T
-            coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-            solution = np.zeros_like(block)
-            for i, b_i in enumerate(bases):
-                if b_i.shape[0]:
-                    flat = coeffs[spans[i]] @ b_i.reshape(b_i.shape[0], -1)
-                    solution[:, module.slices[i]] = flat.reshape(b_i.shape[1:])
-            block = solution @ proj
+        row = []
+        for z, sl in zip(fiber.base, fiber.slices):
+            if conj.gens[z]:
+                unit = ModuleElement(fiber, z, fiber.proj[:, sl], validate=False)
+                row.append(data.left_product_block([unit], conj.gens[z]) @ conj.isqrt[z])
+            else:
+                row.append(np.zeros((src.dim(x), conj.bimodule.ob(z).total_dim),
+                                    dtype=np.complex128))
+        block = np.concatenate(row, axis=1)
         comps.append(ModuleOperator(module, cod.ob(x), block, validate=False))
     return BimoduleMap(dom, cod, comps)
 

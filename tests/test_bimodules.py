@@ -374,3 +374,33 @@ def test_hull_extend_matches_per_pair_action(kind, src_list, dst_list):
         ref = _reference_hull_extend(E, src_list, dst_list, block)
         got = E.hull_extend(src_list, dst_list, block)
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+def _reference_span_rank_deficit(E, tol):
+    """Span-rank criterion one image T e at a time."""
+    src, dst = E.source, E.target
+    deficit = 0
+    for x in range(src.n_objects):
+        for z in range(dst.n_objects):
+            images = [(T @ e.col).ravel()
+                      for y in range(src.n_objects)
+                      for T in E.mor_stack(y, x)
+                      for e in E.ob(y).eval_basis(z)]
+            rank = np.linalg.matrix_rank(np.stack(images), tol=tol.atol) if images else 0
+            deficit = max(deficit, E.ob(x).eval_dim(z) - int(rank))
+    return float(deficit)
+
+
+@pytest.mark.parametrize("kind", ["yoneda", "twist", "degenerate", "double-yoneda"])
+def test_span_rank_deficit_matches_per_element_loop(cat, kind):
+    E = {
+        "yoneda": lambda: yoneda_bimodule(cat),
+        "twist": lambda: bimodule_from_functor(unitary_twist_functor(cat, seed=61)),
+        "degenerate": lambda: degenerate_double(cat),
+        "double-yoneda": lambda: tensor_bimodule_bimodule(yoneda_bimodule(cat),
+                                                          yoneda_bimodule(cat)),
+    }[kind]()
+    _, report = check_nondegenerate(E)
+    deficit = {c.name: c.residual for c in report.checks}["span-rank-deficit"]
+    assert deficit == _reference_span_rank_deficit(E, E.tol)
+    assert (deficit > 0) == (kind == "degenerate")

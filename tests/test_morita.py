@@ -474,10 +474,17 @@ def _reference_source_blocks(data, conj, dom):
     return blocks
 
 
-@pytest.mark.parametrize("case", ["seed4", "seed7", "corner"])
+@pytest.mark.parametrize("case", ["seed4", "seed7", "corner", "conjugate", "twist"])
 def test_source_map_matches_reference_solve(case):
     if case == "corner":
         data, _ = check_imprimitivity(corner_bimodule())
+    elif case == "conjugate":
+        # fibers whose projections are not the identity
+        _, equivalence = mat_equivalence(random_block_category(90, n_objects=2)[0])
+        data, _ = check_imprimitivity(conjugate_bimodule(equivalence).bimodule)
+    elif case == "twist":
+        cat = random_block_category(96, n_objects=2)[0]
+        data, _ = check_imprimitivity(bimodule_from_functor(unitary_twist_functor(cat, seed=97)))
     else:
         cat, _ = random_block_category(int(case[4:]), n_objects=2, max_mult=2)
         _, data = mat_equivalence(cat)
@@ -633,3 +640,53 @@ def test_morita_path_makes_stacked_kernel_calls(monkeypatch):
         assert m.verify_natural().passed and m.unitary_report().passed
         # n * n hom pairs; isometry and co-isometry per component
         assert 0 < calls["eig"] <= n * n + 2 * n
+
+
+def _reference_product_span_deficit(E, tol):
+    """Fullness one target-valued product <e, f> at a time."""
+    dst = E.target
+    deficit = 0
+    for y in range(dst.n_objects):
+        for yp in range(dst.n_objects):
+            if dst.hom_dim(y, yp) == 0:
+                continue
+            coords = [dst.hom_coords(y, yp, e.col.conj().T @ f.col)
+                      for x in range(E.source.n_objects)
+                      for e in E.ob(x).eval_basis(yp)
+                      for f in E.ob(x).eval_basis(y)]
+            rank = int(np.linalg.matrix_rank(np.stack(coords), tol=tol.atol)) if coords else 0
+            deficit = max(deficit, dst.hom_dim(y, yp) - rank)
+    return float(deficit)
+
+
+@pytest.mark.parametrize("case", ["yoneda", "corner", "seed4", "conjugate"])
+def test_product_span_deficit_matches_per_element_loop(case):
+    cat = random_block_category(90, n_objects=2)[0]
+    E = {
+        "yoneda": lambda: yoneda_bimodule(cat),
+        "corner": corner_bimodule,
+        "seed4": lambda: mat_equivalence(
+            random_block_category(4, n_objects=2, max_mult=2)[0])[1].bimodule,
+        "conjugate": lambda: conjugate_bimodule(mat_equivalence(cat)[1]).bimodule,
+    }[case]()
+    _, report = check_full(E)
+    deficit = {c.name: c.residual for c in report.checks}["product-span-deficit"]
+    assert deficit == _reference_product_span_deficit(E, E.tol)
+    assert (deficit > 0) == (case == "corner")
+
+
+def test_source_map_makes_no_least_squares_solve(monkeypatch):
+    # the source witness is a closed form, like the target witness
+    cat, _ = random_block_category(4, n_objects=2, max_mult=2)
+    _, data = mat_equivalence(cat)
+    conj = conjugate_bimodule(data)
+    calls, lstsq = [], np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    psi = morita_source_map(data, conj)
+    assert not calls
+    assert psi.verify_natural().passed and psi.unitary_report().passed
