@@ -390,7 +390,12 @@ def _cross_check(tensor: TensorModule, tol: Tolerance) -> Report:
 
 
 class BimoduleTensor(Bimodule):
-    """Composite bimodule E ⊗ F with the fiber tensors kept for reuse."""
+    """Composite bimodule E ⊗ F with the fiber tensors kept for reuse.
+
+    A block b of E acts as F's extension of P_y · b · P_x, P the projections
+    of E's fibers: F extends P to the tensor's projection as a *-functor, so
+    this is the extended b between tensor projections, at E's smaller size.
+    """
 
     def __init__(self, E: Bimodule, F: Bimodule):
         if E.target is not F.source:
@@ -404,13 +409,12 @@ class BimoduleTensor(Bimodule):
         mor_blocks = {}
         for x in range(E.source.n_objects):
             for y in range(E.source.n_objects):
-                k = E.source.hom_dim(x, y)
-                dx = ob_map[x].total_dim
-                dy = ob_map[y].total_dim
-                stack = np.zeros((k, dy, dx), dtype=np.complex128)
-                for i, block in enumerate(E.mor_stack(x, y)):
-                    extended = F.hull_extend(E.ob(x).base, E.ob(y).base, block)
-                    stack[i] = ob_map[y].proj @ extended @ ob_map[x].proj
+                fx, fy = E.ob(x), E.ob(y)
+                blocks = E.mor_stack(x, y)
+                stack = np.empty((blocks.shape[0], ob_map[y].total_dim, ob_map[x].total_dim),
+                                 dtype=np.complex128)
+                for i, b in enumerate(blocks):
+                    stack[i] = F.hull_extend(fx.base, fy.base, fy.proj @ b @ fx.proj)
                 mor_blocks[(x, y)] = stack
         super().__init__(E.source, F.target, ob_map, mor_blocks,
                          tol=E.tol, validate=False)

@@ -570,9 +570,15 @@ def _projection_report(cat: CStarCategory, base, proj: np.ndarray, tol: Toleranc
     idempotent, and in the block hom-space, each against
     ``tol.bound(max(||proj||, 1))``."""
     report = Report(context="module")
+    skew = proj - proj.conj().T
+    # a symmetrized projection has an exactly zero skew part: no eigensolve for it
+    herm = op_norm(skew) if skew.any() else 0.0
+    del skew  # freed, and idem formed in place: 2-4 MiB less peak RSS at 350 wide
+    idem = proj @ proj
+    idem -= proj
     bound = tol.bound(max(op_norm(proj), 1.0))
-    report.add("proj-hermitian", op_norm(proj - proj.conj().T), bound)
-    report.add("proj-idempotent", op_norm(proj @ proj - proj), bound)
+    report.add("proj-hermitian", herm, bound)
+    report.add("proj-idempotent", op_norm(idem), bound)
     report.add("proj-in-hom-span", block_residual(cat, base, base, proj), bound)
     return report
 

@@ -20,7 +20,6 @@ from .category import (
     MatrixAlgebra,
     Morphism,
     _object_rows,
-    block_slices,
     list_dim,
     matrix_algebra,
 )
@@ -237,9 +236,12 @@ class ConjugateBimodule:
     For each target object y the conjugate fiber is presented on the list of
     fiber objects carrying an evaluation basis at y, with projection the
     support of the left-product Gram matrix; the generator with index α is
-    the conjugate of the α-th basis element.  ``element_of`` and
-    ``element_to`` translate between presentation columns and the elements
-    of the original bimodule they conjugate.
+    the conjugate of the α-th basis element.  A target morphism b acts as
+    sqrt · Λ_b · isqrt with Λ_b its conjugated coefficient pattern; this
+    needs no compression by the supports, since supp · sqrt = sqrt and
+    isqrt · supp = isqrt.  ``element_of`` and ``element_to`` translate
+    between presentation columns and the elements of the original bimodule
+    they conjugate.
     """
 
     def __init__(self, data: BiHilbertData, tol: Tolerance | None = None):
@@ -283,50 +285,51 @@ class ConjugateBimodule:
             self.supp[y] = support @ support.conj().T
             ob_map.append(HilbertModule(src, objects, self.supp[y], tol=self.tol))
 
+        # the action of b is sqrt · Λ_b · isqrt, where column block α of Λ_b
+        # holds the conjugated coefficients of e_α · b* over the y' generators
+        fibers = [self._fibers(y) for y in range(dst.n_objects)]
         mor_blocks: dict[tuple[int, int], np.ndarray] = {}
         for y in range(dst.n_objects):
             for yp in range(dst.n_objects):
-                k = dst.hom_dim(y, yp)
-                dy = ob_map[yp].total_dim
-                dx = ob_map[y].total_dim
-                stack = np.zeros((k, dy, dx), dtype=np.complex128)
-                for i, b in enumerate(dst.hom_basis(y, yp)):
-                    lam = self._coefficient_pattern(E, y, yp, b)
-                    raw = self.sqrt[yp] @ lam @ self.isqrt[y]
-                    stack[i] = self.supp[yp] @ raw @ self.supp[y]
+                basis = dst.hom_basis(y, yp)
+                lams = []  # per fiber: rows, columns, identity, coefficients per basis element
+                for x, (r, gens) in fibers[y].items():
+                    if len(basis) and x in fibers[yp]:
+                        r_p, gens_p = fibers[yp][x]
+                        moved = gens[None] @ basis.conj().swapaxes(-1, -2)[:, None]  # e · b*
+                        coeffs = _conjugated_coefficients(gens_p, moved.reshape(
+                            (-1,) + gens_p.shape[1:]))
+                        lams.append((r_p, r, np.eye(src.dim(x)),
+                                     coeffs.reshape(len(gens_p), len(basis), len(gens))))
+                stack = np.empty((len(basis), ob_map[yp].total_dim, ob_map[y].total_dim),
+                                 dtype=np.complex128)
+                for i in range(len(basis)):
+                    lam = np.zeros(stack.shape[1:], dtype=np.complex128)
+                    for r_p, r, eye, coeffs in lams:
+                        lam[r_p[:, None], r[None, :]] = np.kron(coeffs[:, i], eye)
+                    stack[i] = self.sqrt[yp] @ lam @ self.isqrt[y]
                 mor_blocks[(y, yp)] = stack
         self.bimodule = Bimodule(dst, src, ob_map, mor_blocks, tol=self.tol, validate=False)
 
-    def _coefficients(self, y: int, x: int, col: np.ndarray) -> np.ndarray:
-        """Conjugated coefficients of an element of E(x) at y over the
-        generators at y, as a block column of scalar identities."""
-        src = self.original.bimodule.source
-        objs = self.gen_objects[y]
-        rows = block_slices(src, objs)
-        out = np.zeros((list_dim(src, objs), src.dim(x)), dtype=np.complex128)
-        for a, (e, xa) in enumerate(zip(self.gens[y], objs)):
-            if xa != x:
-                continue
-            coeff = np.vdot(e.col, col)
-            if abs(coeff) < 1e-16:
-                continue
-            out[rows[a]] = np.conj(coeff) * np.eye(src.dim(x))
-        return out
-
-    def _coefficient_pattern(self, E: Bimodule, y: int, yp: int, b: np.ndarray) -> np.ndarray:
-        """Blocks of conjugated coefficients of e_α · b* in the y' basis."""
-        src = E.source
-        cols = block_slices(src, self.gen_objects[y])
-        out = np.zeros((list_dim(src, self.gen_objects[yp]), list_dim(src, self.gen_objects[y])),
-                       dtype=np.complex128)
-        for a, (e, x) in enumerate(zip(self.gens[y], self.gen_objects[y])):
-            out[:, cols[a]] = self._coefficients(yp, x, e.col @ b.conj().T)  # e · b* at yp
-        return out
+    def _fibers(self, y: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per fiber x holding generators at y: the presentation rows of
+        their blocks and their columns, stacked."""
+        if not self.gens[y]:
+            return {}
+        rows = _object_rows(self.original.bimodule.source, self.gen_objects[y])
+        pairs = list(zip(self.gens[y], self.gen_objects[y]))
+        return {x: (r.ravel(), np.stack([e.col for e, xa in pairs if xa == x]))
+                for x, r in rows.items()}
 
     def element_of(self, f: ModuleElement) -> ModuleElement:
         """Presentation column of the conjugate of an original element."""
         x, y = _fiber_of(self.original.bimodule, f), f.at
-        pattern = self._coefficients(y, x, f.col)
+        d = self.original.bimodule.source.dim(x)
+        pattern = np.zeros((self.bimodule.ob(y).total_dim, d), dtype=np.complex128)
+        fibers = self._fibers(y)
+        if x in fibers:
+            rows, gens = fibers[x]
+            pattern[rows] = np.kron(_conjugated_coefficients(gens, f.col[None]), np.eye(d))
         return ModuleElement(self.bimodule.ob(y), x, self.sqrt[y] @ pattern, validate=False)
 
     def element_to(self, c: ModuleElement) -> ModuleElement:
@@ -341,6 +344,15 @@ class ConjugateBimodule:
         lifted = E.hull_extend(self.gen_objects[y], (x,), (self.isqrt[y] @ c.col).conj().T)
         return ModuleElement(E.ob(x), y, lifted @ np.concatenate([e.col for e in gens]),
                              validate=False)
+
+
+def _conjugated_coefficients(gens: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Conjugated coefficients of a stack of elements over a stack of
+    generators in one fiber: entry (c, j) is conj ⟨e_c, cols[j]⟩ (Frobenius),
+    and an entry below 1e-16 in modulus is zero."""
+    coeffs = gens.reshape(len(gens), -1) @ cols.reshape(len(cols), -1).conj().T
+    coeffs[np.abs(coeffs) < 1e-16] = 0.0
+    return coeffs
 
 
 def conjugate_bimodule(data: BiHilbertData, tol: Tolerance | None = None) -> ConjugateBimodule:
@@ -358,8 +370,10 @@ def morita_target_map(data: BiHilbertData,
 
     In the presentation the component at y is the row of adjoint evaluation
     operators of the conjugate generators, corrected by the extended
-    inverse-root of the generator Gram and compressed; it is unitary exactly
-    when the bimodule is full on the target side.
+    inverse-root of the generator Gram.  It needs no compression: the
+    tensor's projection is the extended support, and isqrt · supp = isqrt
+    with the extension multiplicative.  Unitary exactly when the bimodule
+    is full on the target side.
     """
     E = data.bimodule
     conj = conj if conj is not None else conjugate_bimodule(data)
@@ -374,7 +388,7 @@ def morita_target_map(data: BiHilbertData,
         else:
             row = np.concatenate([e.col.conj().T for e in gens], axis=1)
             ext_isqrt = E.hull_extend(objs, objs, conj.isqrt[y])
-            block = row @ ext_isqrt @ dom.ob(y).proj
+            block = row @ ext_isqrt
         comps.append(ModuleOperator(dom.ob(y), cod.ob(y), block, validate=False))
     return BimoduleMap(dom, cod, comps)
 

@@ -404,3 +404,63 @@ def test_span_rank_deficit_matches_per_element_loop(cat, kind):
     deficit = {c.name: c.residual for c in report.checks}["span-rank-deficit"]
     assert deficit == _reference_span_rank_deficit(E, E.tol)
     assert (deficit > 0) == (kind == "degenerate")
+
+
+def _reference_tensor_blocks(T):
+    """Action blocks of E ⊗ F as the tensor's projections around the
+    extended block of E: P_y · ext(b) · P_x at the tensor's full size."""
+    E, F = T.left, T.right
+    n = E.source.n_objects
+    return {
+        (x, y): np.array([
+            T.ob(y).proj @ F.hull_extend(E.ob(x).base, E.ob(y).base, b) @ T.ob(x).proj
+            for b in E.mor_stack(x, y)
+        ]).reshape(E.mor_stack(x, y).shape[:1] + (T.ob(y).total_dim, T.ob(x).total_dim))
+        for x in range(n) for y in range(n)
+    }
+
+
+def _uncompressed_left_factor(cat):
+    """Fibers with non-trivial projections and the bare hom basis as blocks,
+    which their projections do not fix."""
+    rng = np.random.default_rng(5)
+    ob_map = [HilbertModule(cat, (x,), random_block_projection(rng, cat, (x,)))
+              for x in range(cat.n_objects)]
+    blocks = {(x, y): cat.hom_basis(x, y).copy()
+              for x in range(cat.n_objects) for y in range(cat.n_objects)}
+    E = Bimodule(cat, cat, ob_map, blocks, validate=False)
+    assert max(np.max(np.abs(E.ob(y).proj @ blocks[x, y] @ E.ob(x).proj - blocks[x, y]),
+                      initial=0.0)
+               for x in range(cat.n_objects) for y in range(cat.n_objects)) > 1e-3
+    return E
+
+
+def _tensor_case(case):
+    from cstarcat.morita import conjugate_bimodule, mat_equivalence
+
+    if case.startswith("seed"):
+        seed, order = int(case[4]), case[5:]
+        cat, _ = random_block_category(seed, n_objects=2, max_mult=2)
+        data = mat_equivalence(cat)[1]
+        E, C = data.bimodule, conjugate_bimodule(data).bimodule
+        return (E, C) if order == "-E-conj" else (C, E)
+    cat, _ = random_block_category(4, n_objects=2, max_mult=2)
+    twist = bimodule_from_functor(unitary_twist_functor(cat, seed=12))
+    return {
+        "twist-yoneda": lambda: (twist, yoneda_bimodule(cat)),
+        "yoneda-twist": lambda: (yoneda_bimodule(cat), twist),
+        "double-yoneda": lambda: (_double_yoneda(cat), _double_yoneda(cat)),
+        "uncompressed": lambda: (_uncompressed_left_factor(cat), twist),
+    }[case]()
+
+
+@pytest.mark.parametrize("case", ["seed4-E-conj", "seed4-conj-E", "seed7-E-conj", "seed7-conj-E",
+                                  "twist-yoneda", "yoneda-twist", "double-yoneda",
+                                  "uncompressed"])
+def test_tensor_action_matches_projection_sandwich(case):
+    T = tensor_bimodule_bimodule(*_tensor_case(case))
+    for (x, y), ref in _reference_tensor_blocks(T).items():
+        got = T.mor_stack(x, y)
+        assert got.shape == ref.shape
+        if ref.size:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)

@@ -347,3 +347,35 @@ def test_functor_residuals_match_per_element_loop(perturb):
         assert (ref > 0.01) == (perturb > 0)
     with pytest.raises(ClosureViolation):
         verify_functor(identity_functor(_not_closed_category()))
+
+
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_projection_report_matches_three_norms(symmetrized, monkeypatch):
+    # the residuals are those of one op_norm per check; an exactly Hermitian
+    # matrix skips the eigensolve of its zero skew part
+    from cstarcat.category import _projection_report
+    from cstarcat.generators import random_block_projection
+
+    cat, _ = random_block_category(4, n_objects=2, max_mult=2)
+    rng = np.random.default_rng(1)
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    for base in [(0,), (1, 0, 1), (0, 0, 1, 1)]:
+        p = random_block_projection(rng, cat, base)
+        p = p + 1e-13 * rng.standard_normal(p.shape)
+        if symmetrized:
+            p = 0.5 * (p + p.conj().T)
+        ref = [op_norm(p - p.conj().T), op_norm(p @ p - p), block_residual(cat, base, base, p)]
+        bound = cat.tol.bound(max(op_norm(p), 1.0))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        calls.clear()
+        checks = _projection_report(cat, base, p, cat.tol).checks
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert [c.residual for c in checks] == ref
+        assert all(c.threshold == bound for c in checks)
+        assert (checks[0].residual == 0.0) == symmetrized
+        assert len(calls) == (2 if symmetrized else 3)

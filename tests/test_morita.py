@@ -690,3 +690,132 @@ def test_source_map_makes_no_least_squares_solve(monkeypatch):
     psi = morita_source_map(data, conj)
     assert not calls
     assert psi.verify_natural().passed and psi.unitary_report().passed
+
+
+def _reference_coefficients(conj, y, x, col):
+    """Conjugated coefficients of one element of E(x) at y over the
+    generators at y, one ``np.vdot`` per generator, as a block column of
+    scalar identities."""
+    from cstarcat.category import block_slices, list_dim
+
+    src = conj.original.bimodule.source
+    objs = conj.gen_objects[y]
+    rows = block_slices(src, objs)
+    out = np.zeros((list_dim(src, objs), src.dim(x)), dtype=complex)
+    for a, (e, xa) in enumerate(zip(conj.gens[y], objs)):
+        coeff = np.vdot(e.col, col) if xa == x else 0.0
+        if abs(coeff) >= 1e-16:
+            out[rows[a]] = np.conj(coeff) * np.eye(src.dim(x))
+    return out
+
+
+def _reference_conjugate_stack(conj, y, yp):
+    """Action blocks of the conjugate as supp · (sqrt · Λ_b · isqrt) · supp,
+    with Λ_b assembled one generator at a time."""
+    from cstarcat.category import block_slices
+
+    E = conj.original.bimodule
+    cols = block_slices(E.source, conj.gen_objects[y])
+    stack = []
+    for b in E.target.hom_basis(y, yp):
+        lam = np.zeros((conj.bimodule.ob(yp).total_dim, conj.bimodule.ob(y).total_dim),
+                       dtype=complex)
+        for a, (e, x) in enumerate(zip(conj.gens[y], conj.gen_objects[y])):
+            lam[:, cols[a]] = _reference_coefficients(conj, yp, x, e.col @ b.conj().T)
+        stack.append(conj.supp[yp] @ (conj.sqrt[yp] @ lam @ conj.isqrt[y]) @ conj.supp[y])
+    return np.array(stack).reshape(conj.bimodule.mor_stack(y, yp).shape)
+
+
+def _conjugate_case(case):
+    if case == "corner":
+        return check_imprimitivity(corner_bimodule())[0]
+    if case == "yoneda":
+        return check_imprimitivity(yoneda_bimodule(random_block_category(90, n_objects=2)[0]))[0]
+    cat, _ = random_block_category(int(case[4:]), n_objects=2, max_mult=2)
+    return mat_equivalence(cat)[1]
+
+
+@pytest.mark.parametrize("case", ["seed4", "seed7", "corner", "yoneda"])
+def test_conjugate_matches_support_sandwich_reference(case):
+    data = _conjugate_case(case)
+    conj = conjugate_bimodule(data)
+    dst = data.bimodule.target
+    for y in range(dst.n_objects):
+        for yp in range(dst.n_objects):
+            ref = _reference_conjugate_stack(conj, y, yp)
+            got = conj.bimodule.mor_stack(y, yp)
+            assert got.shape == ref.shape
+            if ref.size:
+                assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+    if case == "corner":
+        assert not conj.gens[1]  # a zero conjugate fiber, acting by zero blocks
+        assert not np.any(conj.bimodule.mor_stack(1, 1))
+    rng = np.random.default_rng(3)
+    E = data.bimodule
+    for x in range(E.source.n_objects):
+        for y in range(dst.n_objects):
+            f = E.ob(x).random_element(rng, y)
+            ref = conj.sqrt[y] @ _reference_coefficients(conj, y, x, f.col)
+            assert np.max(np.abs(conj.element_of(f).col - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["seed4", "seed7", "corner"])
+def test_target_map_matches_compressed_reference(case):
+    data = _conjugate_case(case)
+    conj = conjugate_bimodule(data)
+    phi = morita_target_map(data, conj)
+    E = data.bimodule
+    for y, comp in enumerate(phi.components):
+        if not conj.gens[y]:
+            assert not np.any(comp.block)
+            continue
+        row = np.concatenate([e.col.conj().T for e in conj.gens[y]], axis=1)
+        objs = conj.gen_objects[y]
+        ref = row @ E.hull_extend(objs, objs, conj.isqrt[y]) @ phi.dom.ob(y).proj
+        assert np.max(np.abs(comp.block - ref)) <= 1e-12
+
+
+def test_conjugate_makes_no_per_generator_vdot(monkeypatch):
+    # coefficients come from one product over the stacked generator columns
+    cat, _ = random_block_category(4, n_objects=2, max_mult=2)
+    _, data = mat_equivalence(cat)
+    calls, vdot = [], np.vdot
+
+    def counting_vdot(*args, **kwargs):
+        calls.append(1)
+        return vdot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "vdot", counting_vdot)
+    conj = conjugate_bimodule(data)
+    conj.element_of(data.bimodule.ob(0).random_element(np.random.default_rng(0), 0))
+    assert not calls
+
+
+def test_morita_builds_stay_within_their_output_memory():
+    # peak allocation of each build, against the bytes of what it keeps:
+    # stacking a build over basis elements would raise the peak far above it
+    import tracemalloc
+
+    from cstarcat.bimodules import tensor_bimodule_bimodule
+
+    cat, _ = random_block_category(4, n_objects=2, max_mult=2)
+    _, data = mat_equivalence(cat)
+    E, conj = data.bimodule, conjugate_bimodule(data).bimodule
+
+    def kept(B, with_fibers):
+        objs = range(B.source.n_objects)
+        size = sum(B.mor_stack(x, y).nbytes for x in objs for y in objs)
+        return size + (sum(B.ob(x).proj.nbytes for x in objs) if with_fibers else 0)
+
+    for build, with_fibers, bound in (
+        (lambda: tensor_bimodule_bimodule(E, conj), True, 1.3),
+        (lambda: tensor_bimodule_bimodule(conj, E), True, 1.3),
+        (lambda: conjugate_bimodule(data).bimodule, False, 1.7),
+    ):
+        tracemalloc.start()
+        try:
+            built = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * kept(built, with_fibers)
