@@ -298,18 +298,28 @@ def random_block_projection(rng: np.random.Generator, cat: CStarCategory, lst) -
     """
     lst = tuple(lst)
     raw = random_block(rng, cat, lst, lst)
-    herm = 0.5 * (raw + raw.conj().T)
+    proj = _middle_gap_projection(0.5 * (raw + raw.conj().T))
+    return np.eye(raw.shape[0], dtype=np.complex128) if proj is None else proj
+
+
+def _middle_gap_projection(herm: np.ndarray, floor: float | None = None) -> np.ndarray | None:
+    """Spectral projection of ``herm`` above the gap nearest the middle of its
+    spectrum, never cutting a gap within 1e-6 of the spread; ``None`` with no
+    usable gap.  With ``floor``, a spectrum within 1e-9 of zero has none, and
+    the eigenvalue above a usable gap exceeds ``floor`` times the largest."""
     evals, evecs = np.linalg.eigh(herm)
     n = evals.size
     if n <= 1:
-        return np.eye(n, dtype=np.complex128)
+        return None
     spread = float(evals[-1] - evals[0])
-    if spread <= 1e-9:
-        return np.eye(n, dtype=np.complex128)
-    gaps = np.diff(evals)
-    usable = np.flatnonzero(gaps > 1e-6 * spread)
+    scale = float(np.max(np.abs(evals)))
+    if spread <= 1e-9 or (floor is not None and scale <= 1e-9):
+        return None
+    usable = np.flatnonzero(np.diff(evals) > 1e-6 * spread)
+    if floor is not None:
+        usable = usable[evals[usable + 1] > floor * scale]
     if usable.size == 0:
-        return np.eye(n, dtype=np.complex128)
+        return None
     cut = int(usable[np.argmin(np.abs(usable - (n / 2 - 1)))])
     keep = evecs[:, cut + 1:]
     return keep @ keep.conj().T
@@ -338,28 +348,10 @@ def random_subprojection(rng: np.random.Generator, module):
 
     raw = random_block(rng, module.cat, module.base, module.base)
     comp = module.proj @ raw @ module.proj
-    herm = comp + comp.conj().T
-    evals, evecs = np.linalg.eigh(herm)
-    n = evals.size
-    zero = ModuleOperator(module, module,
-                          np.zeros((n, n), dtype=np.complex128), validate=False)
-    if n <= 1:
-        return zero
-    spread = float(evals[-1] - evals[0])
-    scale = float(np.max(np.abs(evals)))
-    if spread <= 1e-9 or scale <= 1e-9:
-        return zero
-    gaps = np.diff(evals)
-    usable = [
-        g for g in np.flatnonzero(gaps > 1e-6 * spread)
-        if evals[g + 1] > 1e-6 * scale
-    ]
-    if not usable:
-        return zero
-    usable = np.asarray(usable)
-    cut = int(usable[np.argmin(np.abs(usable - (n / 2 - 1)))])
-    keep = evecs[:, cut + 1:]
-    return ModuleOperator(module, module, keep @ keep.conj().T, validate=False)
+    proj = _middle_gap_projection(comp + comp.conj().T, floor=1e-6)
+    if proj is None:
+        proj = np.zeros(comp.shape, dtype=np.complex128)
+    return ModuleOperator(module, module, proj, validate=False)
 
 
 def bimodule_from_functor(F: CStarFunctor, tol: Tolerance | None = None):

@@ -248,26 +248,27 @@ def orthonormal_span(mats, tol: Tolerance | None = None) -> np.ndarray:
 
 
 def span_coords(m, basis: np.ndarray) -> np.ndarray:
-    """Frobenius coordinates of ``m`` against an orthonormal basis stack."""
-    if basis.shape[0] == 0:
-        return np.zeros(0, dtype=np.complex128)
-    return np.tensordot(basis.conj(), np.asarray(m, dtype=np.complex128), axes=([1, 2], [0, 1]))
+    """Frobenius coordinates (..., k) of one (r, c) matrix or a (..., r, c)
+    stack against an orthonormal (k, r, c) basis stack, taken as
+    <b, m> = conj(b · conj(m)) so that the basis is never conjugated."""
+    arr = np.asarray(m, dtype=np.complex128)
+    n = arr.shape[-2] * arr.shape[-1]
+    flat = arr.reshape(arr.shape[:-2] + (n,))
+    return np.conj(flat.conj() @ basis.reshape(basis.shape[0], n).T)
 
 
-def span_eval(coords: np.ndarray, basis: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Assemble a matrix from coordinates against a basis stack."""
-    if basis.shape[0] == 0:
-        if shape is None:
-            raise InvalidInput("empty basis needs an explicit shape")
-        return np.zeros(shape, dtype=np.complex128)
-    return np.tensordot(np.asarray(coords, dtype=np.complex128), basis, axes=(0, 0))
+def span_eval(coords, basis: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Matrices (..., r, c) from (..., k) coordinates against a (k, r, c)
+    basis stack; ``shape`` gives (r, c) for a basis of shape (0, 0, 0)."""
+    k = basis.shape[0]
+    r, c = basis.shape[1:] if shape is None else shape
+    flat = np.asarray(coords, dtype=np.complex128) @ basis.reshape(k, r * c)
+    return flat.reshape(flat.shape[:-1] + (r, c))
 
 
 def span_project(m, basis: np.ndarray) -> np.ndarray:
     arr = np.asarray(m, dtype=np.complex128)
-    if basis.shape[0] == 0:
-        return np.zeros_like(arr)
-    return span_eval(span_coords(arr, basis), basis)
+    return span_eval(span_coords(arr, basis), basis, arr.shape[-2:])
 
 
 def span_residual(m, basis: np.ndarray) -> float:

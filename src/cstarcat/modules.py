@@ -21,6 +21,7 @@ from .linalg import (
     op_norm,
     orthonormal_span,
     resolve_tol,
+    span_eval,
 )
 from .category import (
     CStarCategory,
@@ -126,9 +127,7 @@ class HilbertModule:
                 rank = int(np.sum(s > self.tol.atol))
                 basis = np.zeros((rank,) + basis.shape[1:], dtype=np.complex128)
                 for j, b_j in enumerate(bases):
-                    if b_j.shape[0]:
-                        flat = vh[:rank, spans[j]] @ b_j.reshape(b_j.shape[0], -1)
-                        basis[:, self.slices[j], :] = flat.reshape((rank,) + b_j.shape[1:])
+                    basis[:, self.slices[j], :] = span_eval(vh[:rank, spans[j]], b_j)
             self._eval_cache[at] = [
                 ModuleElement(self, at, c, validate=False) for c in basis
             ]

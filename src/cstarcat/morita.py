@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, NotInvertible
-from .linalg import Tolerance, frac_power, op_norm, op_norms, psd_eigh, resolve_tol
+from .linalg import (Tolerance, frac_power, op_norm, op_norms, psd_eigh, resolve_tol,
+                     span_eval)
 from .category import (
     CStarCategory,
     MatrixAlgebra,
@@ -125,9 +126,8 @@ class BiHilbertData:
                         )
                     continue
                 coords = theta.reshape(theta.shape[:2] + (-1,)) @ pinv.T
-                basis = src.hom_basis(xp, x)
-                mats = (coords @ basis.reshape(k, -1)).reshape(theta.shape[:2] + basis.shape[1:])
-                acted = E._act(xp, x, mats).reshape(theta.shape)
+                mats = span_eval(coords, src.hom_basis(xp, x))
+                acted = E._act(xp, x, mats)
                 # residuals and theta norms in one stacked eigensolve
                 residual, scale = op_norms(np.stack([acted - theta, theta]))
                 over = residual > self.tol.bound(np.maximum(scale, 1.0)) * 100
@@ -139,10 +139,13 @@ class BiHilbertData:
 
 
 def _fiber_of(E: Bimodule, e: ModuleElement) -> int:
-    """The source object whose fiber of ``E`` holds the element ``e``."""
-    for x in range(E.source.n_objects):
-        if e.module.same_presentation(E.ob(x)):
-            return x
+    """The source object whose fiber of ``E`` holds the element ``e``: the
+    fiber that is its module, else the first with the same presentation
+    (equal fibers are told apart only by identity)."""
+    for match in (lambda fiber: fiber is e.module, e.module.same_presentation):
+        for x in range(E.source.n_objects):
+            if match(E.ob(x)):
+                return x
     raise InvalidInput("element does not live in a fiber of the bimodule")
 
 

@@ -18,7 +18,7 @@ from cstarcat.bimodules import (
     verify_bimodule,
     yoneda_bimodule,
 )
-from cstarcat.category import CStarCategory, _size_slices, block_slices, random_block
+from cstarcat.category import CStarCategory, Morphism, _size_slices, block_slices, random_block
 from cstarcat.generators import (
     bimodule_from_functor,
     degenerate_double,
@@ -464,3 +464,77 @@ def test_tensor_action_matches_projection_sandwich(case):
         assert got.shape == ref.shape
         if ref.size:
             assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+
+
+def test_action_returns_stacked_blocks(cat):
+    # the action of a (..., dim y, dim x) stack is a (..., dy, dx) stack of blocks
+    E = degenerate_double(cat)
+    rng = np.random.default_rng(3)
+    for x in range(cat.n_objects):
+        for y in range(cat.n_objects):
+            for lead in [(), (3,), (2, 2)]:
+                mats = np.array([cat.random_morphism(rng, x, y).mat
+                                 for _ in range(int(np.prod(lead)))])
+                mats = mats.reshape(lead + (cat.dim(y), cat.dim(x)))
+                got = E._act(x, y, mats)
+                assert got.shape == lead + (E.ob(y).total_dim, E.ob(x).total_dim)
+                ref = np.tensordot(cat.hom_coords(x, y, mats), E.mor_stack(x, y), axes=(-1, 0))
+                assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def _reference_bimodule_residuals(E, samples=3, seed=0):
+    """Every check of ``verify_bimodule``, one basis element or pair at a time."""
+    src, objs = E.source, range(E.source.n_objects)
+    rng = np.random.default_rng(seed)
+
+    def image(x, y, mat):
+        return E.mor(Morphism(src, x, y, mat, validate=False)).block
+
+    compress = mult = star = decrease = 0.0
+    for x in objs:
+        for y in objs:
+            for b, B in zip(src.hom_basis(x, y), E.mor_stack(x, y)):
+                compress = max(compress, op_norm(E.ob(y).proj @ B @ E.ob(x).proj - B))
+                star = max(star, op_norm(image(y, x, b.conj().T) - B.conj().T))
+            for z in objs:
+                for f, Ff in zip(src.hom_basis(y, z), E.mor_stack(y, z)):
+                    for g, Fg in zip(src.hom_basis(x, y), E.mor_stack(x, y)):
+                        mult = max(mult, op_norm(image(x, z, f @ g) - Ff @ Fg))
+    for x in objs:
+        for y in objs:
+            for _ in range(samples if src.hom_dim(x, y) else 0):
+                a = src.random_morphism(rng, x, y)
+                decrease = max(decrease, (E.mor(a).norm() - a.norm()) / max(a.norm(), 1.0))
+    return {"block-compression": compress, "functoriality": mult,
+            "star-preservation": star, "norm-decrease": decrease}
+
+
+@pytest.mark.parametrize("kind", ["yoneda", "twist", "conjugate", "degenerate", "perturbed"])
+def test_bimodule_residuals_match_per_element_loop(cat, kind):
+    from cstarcat.morita import check_imprimitivity, conjugate_bimodule
+
+    def perturbed():
+        E = bimodule_from_functor(unitary_twist_functor(cat, seed=62))
+        rng, objs = np.random.default_rng(4), range(cat.n_objects)
+        blocks = {(x, y): E.mor_stack(x, y) + 0.3 * rng.standard_normal(E.mor_stack(x, y).shape)
+                  for x in objs for y in objs}
+        return Bimodule(cat, cat, E.ob_map, blocks, validate=False)
+
+    E = {
+        "yoneda": lambda: yoneda_bimodule(cat),
+        "twist": lambda: bimodule_from_functor(unitary_twist_functor(cat, seed=61)),
+        "conjugate": lambda: conjugate_bimodule(
+            check_imprimitivity(yoneda_bimodule(cat))[0]).bimodule,
+        "degenerate": lambda: degenerate_double(cat),
+        "perturbed": perturbed,
+    }[kind]()
+    checks = {c.name: c.residual for c in verify_bimodule(E).checks}
+    ref = _reference_bimodule_residuals(E)
+    assert checks.keys() == ref.keys()
+    # the same products one at a time; one-element products round differently
+    # from the stacked ones, so those two residuals agree to rounding only
+    for name in ("block-compression", "norm-decrease"):
+        assert checks[name] == ref[name]
+    for name in ("functoriality", "star-preservation"):
+        assert abs(checks[name] - ref[name]) <= 1e-13 * max(ref[name], 1.0)
+    assert (ref["functoriality"] > 0.01) == (kind == "perturbed")

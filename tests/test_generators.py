@@ -11,7 +11,10 @@ from cstarcat.generators import (
     random_block_category,
     random_block_projection,
     random_module,
+    random_subprojection,
 )
+from cstarcat.category import random_block
+from cstarcat.modules import HilbertModule
 from cstarcat.io import dumps_canonical, specfile_for
 from cstarcat.linalg import op_norm
 
@@ -112,3 +115,64 @@ def test_random_block_projection_proper_often():
         if 0 < rank < n:
             proper += 1
     assert proper >= 5
+
+
+def _reference_block_projection(rng, cat, lst):
+    """The spectral cut of ``random_block_projection`` written out on its own."""
+    raw = random_block(rng, cat, lst, lst)
+    evals, evecs = np.linalg.eigh(0.5 * (raw + raw.conj().T))
+    n = evals.size
+    if n <= 1:
+        return np.eye(n, dtype=np.complex128)
+    spread = float(evals[-1] - evals[0])
+    if spread <= 1e-9:
+        return np.eye(n, dtype=np.complex128)
+    usable = np.flatnonzero(np.diff(evals) > 1e-6 * spread)
+    if usable.size == 0:
+        return np.eye(n, dtype=np.complex128)
+    cut = int(usable[np.argmin(np.abs(usable - (n / 2 - 1)))])
+    keep = evecs[:, cut + 1:]
+    return keep @ keep.conj().T
+
+
+def _reference_subprojection(rng, module):
+    """The spectral cut of ``random_subprojection`` written out on its own."""
+    raw = random_block(rng, module.cat, module.base, module.base)
+    comp = module.proj @ raw @ module.proj
+    evals, evecs = np.linalg.eigh(comp + comp.conj().T)
+    n = evals.size
+    zero = np.zeros((n, n), dtype=np.complex128)
+    if n <= 1:
+        return zero
+    spread = float(evals[-1] - evals[0])
+    scale = float(np.max(np.abs(evals)))
+    if spread <= 1e-9 or scale <= 1e-9:
+        return zero
+    usable = [g for g in np.flatnonzero(np.diff(evals) > 1e-6 * spread)
+              if evals[g + 1] > 1e-6 * scale]
+    if not usable:
+        return zero
+    usable = np.asarray(usable)
+    cut = int(usable[np.argmin(np.abs(usable - (n / 2 - 1)))])
+    keep = evecs[:, cut + 1:]
+    return keep @ keep.conj().T
+
+
+def test_spectral_cuts_match_their_written_out_forms():
+    # bit for bit over 24 seeds, including the identity and zero fallbacks
+    fallbacks = {"identity": 0, "zero": 0}
+    for seed in range(24):
+        cat, _ = random_block_category(seed, n_objects=2, max_mult=2)
+        for lst in [(0,), (1, 0), (0, 1, 1)]:
+            got = random_block_projection(np.random.default_rng(seed), cat, lst)
+            ref = _reference_block_projection(np.random.default_rng(seed), cat, lst)
+            assert np.array_equal(got, ref)
+            fallbacks["identity"] += bool(np.array_equal(ref, np.eye(ref.shape[0])))
+        modules = [random_module(seed + 500, cat),
+                   HilbertModule(cat, (0, 1), np.zeros((cat.dim(0) + cat.dim(1),) * 2))]
+        for module in modules:
+            got = random_subprojection(np.random.default_rng(seed), module).block
+            ref = _reference_subprojection(np.random.default_rng(seed), module)
+            assert np.array_equal(got, ref)
+            fallbacks["zero"] += not np.any(ref)
+    assert fallbacks["identity"] > 0 and fallbacks["zero"] > 24

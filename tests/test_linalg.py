@@ -15,6 +15,8 @@ from cstarcat.linalg import (
     psd_check,
     random_complex,
     range_projection,
+    span_coords,
+    span_eval,
     span_residual,
 )
 
@@ -241,3 +243,24 @@ def test_op_norms_match_the_per_matrix_loop(shape):
         ref = _reference_op_norm(m)
         assert abs(g - ref) <= 1e-13 * max(ref, 1e-300)
         assert op_norm(m) == pytest.approx(g, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+@pytest.mark.parametrize("k, r, c", [(3, 2, 4), (5, 3, 3), (0, 2, 4), (0, 0, 0)])
+def test_span_pair_matches_the_contraction_form(lead, k, r, c):
+    # the coordinates pair on any leading axes, against tensordot over the basis
+    rng = np.random.default_rng(k + r + len(lead))
+    shape = (r, c) if r else (2, 4)
+    basis = orthonormal_span([random_complex(rng, r, c) for _ in range(k)]) if k else \
+        np.zeros((0, r, c), dtype=np.complex128)
+    m = rng.standard_normal(lead + shape) + 1j * rng.standard_normal(lead + shape)
+    coords = span_coords(m, basis)
+    ref = np.tensordot(m, basis.conj(), axes=([-2, -1], [1, 2])) if k else np.zeros(lead + (0,))
+    assert coords.shape == lead + (k,)
+    scale = max(np.max(np.abs(ref), initial=0.0), 1.0)
+    assert np.max(np.abs(coords - ref), initial=0.0) <= 1e-14 * scale
+    weights = rng.standard_normal(lead + (k,)) + 1j * rng.standard_normal(lead + (k,))
+    mats = span_eval(weights, basis, None if r else shape)
+    ref = np.tensordot(weights, basis, axes=(-1, 0)) if k else np.zeros(lead + shape)
+    assert mats.shape == lead + shape
+    assert np.max(np.abs(mats - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1.0)

@@ -819,3 +819,41 @@ def test_morita_builds_stay_within_their_output_memory():
         finally:
             tracemalloc.stop()
         assert peak <= bound * kept(built, with_fibers)
+
+
+def _equal_fiber_bimodule():
+    """Two one-dimensional source objects with every hom-space ℂ, acting on
+    two equal fibers over a one-object target: hom(0, 1) acts by i and
+    hom(1, 0) by -i, so an element's fiber is not fixed by its presentation."""
+    one = [np.eye(1)]
+    src = CStarCategory([("a", 1), ("b", 1)],
+                        {(x, y): one for x in range(2) for y in range(2)},
+                        assume_orthonormal=True)
+    dst = CStarCategory([("c", 1)], {(0, 0): one}, assume_orthonormal=True)
+    blocks = {(0, 0): [[[1.0]]], (1, 1): [[[1.0]]], (0, 1): [[[1j]]], (1, 0): [[[-1j]]]}
+    return Bimodule(src, dst, [representable(dst, 0), representable(dst, 0)], blocks)
+
+
+def test_fiber_lookup_tells_equal_fibers_apart(tmp_path):
+    from pathlib import Path
+
+    from cstarcat.cli import main
+    from cstarcat.io import save_specfile, specfile_for
+
+    E = _equal_fiber_bimodule()
+    assert E.ob(0).same_presentation(E.ob(1))
+    assert [_fiber_of(E, E.ob(x).eval_basis(0)[0]) for x in range(2)] == [0, 1]
+    data, report = check_imprimitivity(E)
+    assert report.passed
+    conj = conjugate_bimodule(data)
+    for name, m in (("phi", morita_target_map(data, conj)),
+                    ("psi", morita_source_map(data, conj))):
+        checks = m.verify_natural().checks + m.unitary_report().checks
+        assert all(c.passed for c in checks), (name, [(c.name, c.residual) for c in checks])
+    path = tmp_path / "equal_fibers.cstar.json"
+    save_specfile(path, specfile_for(E))
+    assert main(["morita", str(path), "--format", "json"]) == 0
+    # the conjugate fixture has two equal fibers too; with its generators
+    # misplaced, its conjugate fails validation and the verb exits 2
+    fixture = Path(__file__).resolve().parent / "fixtures" / "bimodule_conjugate_0.cstar.json"
+    assert main(["morita", str(fixture), "--format", "json"]) == 0
