@@ -1,10 +1,10 @@
 """Command line: verify, construct, tensor, morita, ew, gen.
 
 Exit status is a stable contract: 0 when every check passes, 1 when a
-mathematical verification fails, 2 when an input cannot be parsed.  Reports
-are machine-readable and always include every residual.  Tolerances come
-from flags, falling back to the CSTARCAT_TOL_ABS environment variable and
-then the library default.
+verification or construction fails, 2 when an input cannot be parsed or
+realized.  Reports are machine-readable and always include every residual.
+Tolerances come from flags, falling back to the CSTARCAT_TOL_ABS environment
+variable and then the library default.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from .errors import EngineError, InvalidInput, NotInvertible, ParseError
+from .errors import EngineError, InvalidInput, ParseError
 from .linalg import Tolerance, default_tolerance
 from .category import (
     AdditiveHull,
@@ -329,6 +329,12 @@ def cmd_gen(args) -> int:
 # -- entry ----------------------------------------------------------------------
 
 
+def _positive(text: str) -> int:
+    if int(text) <= 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-abs", type=float, default=None,
                    help="absolute tolerance (overrides CSTARCAT_TOL_ABS)")
@@ -381,15 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a deterministic test object")
     p.add_argument("kind", choices=("category", "groupoid", "module", "bimodule"))
     p.add_argument("--out", default=None)
-    p.add_argument("--objects", type=int, default=3)
-    p.add_argument("--sectors", type=int, default=2)
-    p.add_argument("--max-mult", type=int, default=2)
-    p.add_argument("--max-sector-dim", type=int, default=2)
+    p.add_argument("--objects", type=_positive, default=3)
+    p.add_argument("--sectors", type=_positive, default=2)
+    p.add_argument("--max-mult", type=_positive, default=2)
+    p.add_argument("--max-sector-dim", type=_positive, default=2)
     p.add_argument("--family", choices=("cyclic", "codiscrete"), default="codiscrete")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_positive, default=2)
     p.add_argument("--category", default=None,
                    help="category file for module/bimodule generation")
-    p.add_argument("--max-base", type=int, default=3)
+    p.add_argument("--max-base", type=_positive, default=3)
     _add_common(p)
     p.set_defaults(func=cmd_gen)
     return parser
@@ -400,15 +406,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotInvertible as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ParseError) else 1
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 from .linalg import Tolerance, resolve_tol
 from .category import CStarCategory
 from .modules import HilbertModule
@@ -82,6 +82,14 @@ def decode_matrix(data) -> np.ndarray:
 _PAYLOAD_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError)
 
 
+def _build(kind, *args, **kwargs):
+    """``kind(*args)``; data that the constructor rejects is unreadable input."""
+    try:
+        return kind(*args, **kwargs)
+    except InvalidInput as exc:
+        raise ParseError(f"bad {kind.__name__} data: {exc}") from exc
+
+
 def _index(value, what: str) -> int:
     """A JSON integer (not a bool, float or string)."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -127,7 +135,7 @@ def category_from_payload(payload: dict, tol: Tolerance | None = None) -> CStarC
         raise ParseError(f"bad category payload: {exc!r}") from exc
     # files always carry orthonormal bases; keeping them verbatim preserves
     # the alignment of any coordinates stored alongside (bimodule actions)
-    return CStarCategory(objects, homs, tol=resolve_tol(tol), assume_orthonormal=True)
+    return _build(CStarCategory, objects, homs, tol=resolve_tol(tol), assume_orthonormal=True)
 
 
 def module_payload(module: HilbertModule) -> dict:
@@ -177,7 +185,7 @@ def module_from_payload(payload: dict, tol: Tolerance | None = None,
     """Rebuild a module from either payload form (see ``decode_module_payload``)."""
     tol = resolve_tol(tol)
     cat, base, proj = decode_module_payload(payload, tol, cat)
-    return HilbertModule(cat, base, proj, tol=tol)
+    return _build(HilbertModule, cat, base, proj, tol=tol)
 
 
 def bimodule_payload(E: Bimodule) -> dict:
@@ -226,7 +234,7 @@ def bimodule_from_payload(payload: dict, tol: Tolerance | None = None,
                                    "action")
     except _PAYLOAD_ERRORS as exc:
         raise ParseError(f"bad bimodule payload: {exc!r}") from exc
-    return Bimodule(source, target, ob_map, mor_blocks, tol=tol)
+    return _build(Bimodule, source, target, ob_map, mor_blocks, tol=tol)
 
 
 def groupoid_payload(G: FiniteGroupoid) -> dict:

@@ -12,11 +12,13 @@ construction verifies this and the category structure transported through κ.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import Tolerance, null_space, op_norm, resolve_tol
-from .category import CStarCategory, Morphism, cofactorize, compose, factorize
+from .linalg import Tolerance, null_space, op_norms, resolve_tol, span_eval
+from .category import CStarCategory, Morphism
 from .report import Report
 
 __all__ = [
@@ -70,6 +72,14 @@ def star_matrix(cat: CStarCategory, x: int, y: int) -> np.ndarray:
     return np.tensordot(basis_out.conj(), adjs, axes=([1, 2], [1, 2]))
 
 
+def _coordinate_matrix(data, shape: tuple[int, int], what: str) -> np.ndarray:
+    """``data`` as a matrix of exactly ``shape``, or from a flat vector of its size."""
+    mat = np.asarray(data, dtype=np.complex128)
+    if mat.shape not in (shape, (shape[0] * shape[1],)):
+        raise InvalidInput(f"{what} has shape {mat.shape}, expected {shape} or a flat vector")
+    return mat.reshape(shape)
+
+
 class MultiplierMorphism:
     """A compatible (L, R) pair stored as coordinate matrices."""
 
@@ -80,8 +90,8 @@ class MultiplierMorphism:
         self.src = cat.check_object(src)
         self.dst = cat.check_object(dst)
         dxx, dyy, dxy = cat.hom_dim(src, src), cat.hom_dim(dst, dst), cat.hom_dim(src, dst)
-        self.L = np.asarray(L, dtype=np.complex128).reshape(dxy, dxx)
-        self.R = np.asarray(R, dtype=np.complex128).reshape(dxy, dyy)
+        self.L = _coordinate_matrix(L, (dxy, dxx), "L")
+        self.R = _coordinate_matrix(R, (dxy, dyy), "R")
 
     def apply_L(self, f: Morphism) -> Morphism:
         if (f.src, f.dst) != (self.src, self.src):
@@ -239,116 +249,96 @@ class MultiplierArrays:
 
     def __init__(self, cat: CStarCategory, src: int, dst: int, L_maps, R_maps):
         self.cat = cat
-        self.src = src
-        self.dst = dst
-        self.L_maps = {int(w): np.asarray(mat, dtype=np.complex128) for w, mat in L_maps.items()}
-        self.R_maps = {int(z): np.asarray(mat, dtype=np.complex128) for z, mat in R_maps.items()}
+        self.src = x = cat.check_object(src)
+        self.dst = y = cat.check_object(dst)
+        objs = range(cat.n_objects)
+        self.L_maps = _per_object(L_maps, "L", {
+            w: (cat.hom_dim(w, y), cat.hom_dim(w, x)) for w in objs})
+        self.R_maps = _per_object(R_maps, "R", {
+            z: (cat.hom_dim(x, z), cat.hom_dim(y, z)) for z in objs})
 
 
-def multiplier_to_arrays(m: MultiplierMorphism, tol: Tolerance | None = None) -> MultiplierArrays:
-    """Reconstruct the per-object arrays from a single-variable multiplier.
+def _per_object(maps, side: str, shapes: dict) -> dict:
+    """One coordinate matrix for every object, of the shape ``shapes`` gives it."""
+    if set(maps) != set(shapes):
+        raise InvalidInput(f"{side} maps are given for {list(maps)}, not for each object once")
+    return {obj: _coordinate_matrix(maps[obj], shape, f"{side} map at object {obj}")
+            for obj, shape in shapes.items()}
 
-    Uses the factorization trick: f ∈ hom(w,x) splits as f = s∘t with s an
-    endomorphism of x, and L_w(f) := L(s)∘t (likewise for R with the
-    mirrored factorization).
+
+def multiplier_to_arrays(m: MultiplierMorphism) -> MultiplierArrays:
+    """The per-object arrays of a single-variable multiplier.
+
+    Every f ∈ hom(w,x) is e_x∘f with e_x the unit of hom(x,x), and L is a
+    right module map, so L_w(f) = L(e_x)∘f; mirrored, R_z(g) = g∘R(e_y).
     """
-    cat = m.cat
-    tol = resolve_tol(tol if tol is not None else cat.tol)
-    x, y = m.src, m.dst
-    L_maps = {}
-    R_maps = {}
-    for w in range(cat.n_objects):
-        k_in = cat.hom_dim(w, x)
-        k_out = cat.hom_dim(w, y)
-        cols = np.zeros((k_out, k_in), dtype=np.complex128)
-        for i, f in enumerate(cat.hom_basis(w, x)):
-            s, t = cofactorize(cat.morphism(w, x, f, validate=False), tol)
-            img = compose(m.apply_L(s), t, validate=False)
-            cols[:, i] = cat.hom_coords(w, y, img.mat)
-        L_maps[w] = cols
-    for z in range(cat.n_objects):
-        k_in = cat.hom_dim(y, z)
-        k_out = cat.hom_dim(x, z)
-        cols = np.zeros((k_out, k_in), dtype=np.complex128)
-        for i, g in enumerate(cat.hom_basis(y, z)):
-            v, w_end = factorize(cat.morphism(y, z, g, validate=False), tol)
-            img = compose(v, m.apply_R(w_end), validate=False)
-            cols[:, i] = cat.hom_coords(x, z, img.mat)
-        R_maps[z] = cols
+    cat, x, y = m.cat, m.src, m.dst
+    left = m.apply_L(cat.unit(x))
+    right = m.apply_R(cat.unit(y))
+    L_maps = {w: post_compose_matrix(cat, left, w) for w in range(cat.n_objects)}
+    R_maps = {z: pre_compose_matrix(cat, right, z) for z in range(cat.n_objects)}
     return MultiplierArrays(cat, x, y, L_maps, R_maps)
+
+
+def _map_stack(cat: CStarCategory, M: np.ndarray, dom: tuple[int, int],
+               cod: tuple[int, int], mats: np.ndarray) -> np.ndarray:
+    """Images of a (..., r, c) stack in hom(*dom) under the coordinate matrix
+    M: hom(*dom) -> hom(*cod)."""
+    return span_eval(cat.hom_coords(*dom, mats) @ M.T, cat.hom_basis(*cod))
+
+
+def _law_residual(arrays: MultiplierArrays) -> tuple[float, float]:
+    """Worst residual of the array laws on pairs of hom-basis elements, and
+    the largest norm of either side.  Per object pair (a, b), one stack each:
+    L_a(f)∘h = L_b(f∘h), h∘R_a(g) = R_b(h∘g) and R_b(g)∘f = g∘L_a(f)."""
+    cat, x, y = arrays.cat, arrays.src, arrays.dst
+    L, R = arrays.L_maps, arrays.R_maps
+    objs = range(cat.n_objects)
+    Lf = {w: _map_stack(cat, L[w], (w, x), (w, y), cat.hom_basis(w, x)) for w in objs}
+    Rg = {z: _map_stack(cat, R[z], (y, z), (x, z), cat.hom_basis(y, z)) for z in objs}
+    worst = scale = 0.0
+    for a, b in product(objs, repeat=2):
+        f, h = cat.hom_basis(a, x)[:, None], cat.hom_basis(b, a)[None]
+        law_l = (Lf[a][:, None] @ h, _map_stack(cat, L[b], (b, x), (b, y), f @ h))
+        g, h = cat.hom_basis(y, a)[:, None], cat.hom_basis(a, b)[None]
+        law_r = (h @ Rg[a][:, None], _map_stack(cat, R[b], (y, b), (x, b), h @ g))
+        f, g = cat.hom_basis(a, x)[None], cat.hom_basis(y, b)[:, None]
+        law_lr = (Rg[b][:, None] @ f, g @ Lf[a][None])
+        for lhs, rhs in (law_l, law_r, law_lr):
+            norms = op_norms(np.stack([lhs - rhs, lhs, rhs]))
+            worst = max(worst, norms[0].max(initial=0.0))
+            scale = max(scale, norms[1:].max(initial=0.0))
+    return float(worst), float(scale)
 
 
 def multiplier_from_arrays(cat: CStarCategory, src: int, dst: int, L_maps, R_maps,
                            tol: Tolerance | None = None) -> MultiplierMorphism:
-    """Validate an array family and restrict it to a single-variable multiplier.
-
-    The three compatibility laws are checked on hom-basis samples:
-    L_w(f)∘h = L_w'(f∘h), h∘R_z(f) = R_z'(h∘f), and R_z(g)∘f = g∘L_w(f).
-    """
+    """Validate an array family (its laws within ``tol``, ``_law_residual``)
+    and restrict it to a single-variable multiplier."""
     tol = resolve_tol(tol if tol is not None else cat.tol)
     arrays = MultiplierArrays(cat, src, dst, L_maps, R_maps)
-    x, y = arrays.src, arrays.dst
-
-    def l_apply(w, f_mat):
-        return cat.hom_element(w, y, arrays.L_maps[w] @ cat.hom_coords(w, x, f_mat))
-
-    def r_apply(z, g_mat):
-        return cat.hom_element(x, z, arrays.R_maps[z] @ cat.hom_coords(y, z, g_mat))
-
-    samples = []  # (lhs, rhs) of each law on each pair of basis elements
-    for w in range(cat.n_objects):
-        for wp in range(cat.n_objects):
-            for f in cat.hom_basis(w, x):
-                lf = l_apply(w, f).mat
-                for h in cat.hom_basis(wp, w):
-                    samples.append((lf @ h, l_apply(wp, f @ h).mat))
-    for z in range(cat.n_objects):
-        for zp in range(cat.n_objects):
-            for f in cat.hom_basis(y, z):
-                rf = r_apply(z, f).mat
-                for h in cat.hom_basis(z, zp):
-                    samples.append((h @ rf, r_apply(zp, h @ f).mat))
-    for w in range(cat.n_objects):
-        for z in range(cat.n_objects):
-            for f in cat.hom_basis(w, x):
-                for g in cat.hom_basis(y, z):
-                    samples.append((r_apply(z, g).mat @ f, g @ l_apply(w, f).mat))
-    worst = max((op_norm(lhs - rhs) for lhs, rhs in samples), default=0.0)
-    scale = max((max(op_norm(lhs), op_norm(rhs)) for lhs, rhs in samples), default=0.0)
+    worst, scale = _law_residual(arrays)
     if worst > tol.bound(scale):
         raise InvalidInput(f"arrays violate the multiplier laws (residual {worst:.3e})")
+    x, y = arrays.src, arrays.dst
     return MultiplierMorphism(cat, x, y, arrays.L_maps[x], arrays.R_maps[y])
 
 
-def compose_multipliers(outer: MultiplierMorphism, inner: MultiplierMorphism,
-                        tol: Tolerance | None = None) -> MultiplierMorphism:
+def compose_multipliers(outer: MultiplierMorphism,
+                        inner: MultiplierMorphism) -> MultiplierMorphism:
     """Composite multiplier via the array form: (L∘L', R'∘R) componentwise."""
     if outer.cat is not inner.cat or inner.dst != outer.src:
         raise InvalidInput("multipliers do not compose")
-    cat = outer.cat
-    outer_arrays = multiplier_to_arrays(outer, tol)
-    inner_arrays = multiplier_to_arrays(inner, tol)
     w, y = inner.src, outer.dst
-    L = outer_arrays.L_maps[w] @ inner.L
-    R = inner_arrays.R_maps[y] @ outer.R
-    return MultiplierMorphism(cat, w, y, L, R)
+    L = multiplier_to_arrays(outer).L_maps[w] @ inner.L
+    R = multiplier_to_arrays(inner).R_maps[y] @ outer.R
+    return MultiplierMorphism(outer.cat, w, y, L, R)
 
 
-def multiplier_norm(m: MultiplierMorphism, probes: int = 16, seed: int = 0) -> float:
+def multiplier_norm(m: MultiplierMorphism) -> float:
     """Norm of a multiplier via its action, ``sup ||L(f)|| / ||f||``.
 
-    In the unital case the supremum is attained at the unit, which is always
-    included among the probes.
+    In the unital case the supremum is attained at the unit: L(f) = L(e)∘f
+    gives ||L(f)|| <= ||L(e)|| ||f||, and ||e|| = 1.
     """
-    cat = m.cat
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    candidates = [cat.unit(m.src)]
-    for _ in range(probes):
-        candidates.append(cat.random_morphism(rng, m.src, m.src))
-    for f in candidates:
-        nf = f.norm()
-        if nf <= cat.tol.atol:
-            continue
-        best = max(best, m.apply_L(f).norm() / nf)
-    return best
+    return m.apply_L(m.cat.unit(m.src)).norm()

@@ -222,3 +222,32 @@ def test_bad_action_key_is_input_error(tmp_path, capsys):
     save_specfile(path, spec)
     assert main(["verify", str(path)]) == 2
     capsys.readouterr()
+
+
+def test_failed_construction_is_a_failure_not_an_input_error(tmp_path, capsys):
+    # doubled action blocks on hom(0,0): the file parses and realizes, but
+    # the conjugate's Gram is not positive, so `morita` fails (exit 1)
+    spec = load_specfile(FIXTURES / "bimodule_twist_0.cstar.json")
+    for entry in spec.payload["mor_map"]:
+        if (entry["src"], entry["dst"]) == (0, 0):
+            entry["blocks"] = (2 * np.asarray(entry["blocks"])).tolist()
+    path = tmp_path / "doubled.cstar.json"
+    save_specfile(path, spec)
+    realize(load_specfile(path))
+    assert main(["morita", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "positive semidefinite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "category", "--objects", "0"],
+    ["gen", "groupoid", "--family", "cyclic", "--n", "0"],
+], ids=["no-objects", "empty-group"])
+def test_bad_generation_parameter_is_input_error(capsys, args):
+    # argparse reports a bad argument by raising SystemExit(2)
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
