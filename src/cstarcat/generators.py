@@ -78,6 +78,10 @@ class FiniteGroupoid:
         n_mor = self.n_morphisms
         if len(self.inv) != n_mor or len(self.identity) != self.n_objects:
             raise InvalidInput("groupoid tables have inconsistent sizes")
+        indices = {*self.identity, *self.inv, *self.comp.values()}.union(*self.comp)
+        ends = {v for _, s, d in self.morphisms for v in (s, d)}
+        if not indices <= set(range(n_mor)) or not ends <= set(range(self.n_objects)):
+            raise InvalidInput("groupoid tables name a morphism or object index out of range")
         for x, e in enumerate(self.identity):
             if self.src(e) != x or self.dst(e) != x:
                 raise InvalidInput(f"identity of object {x} is not an endomorphism")

@@ -23,6 +23,7 @@ __all__ = [
     "as_cmatrix",
     "op_norm",
     "op_norms",
+    "block_eigvalsh",
     "frobenius_norm",
     "herm_eigh",
     "psd_eigh",
@@ -102,6 +103,29 @@ def op_norms(stack) -> np.ndarray:
 def op_norm(m) -> float:
     """Largest singular value of one matrix (``op_norms`` with no stack axes)."""
     return float(op_norms(as_cmatrix(m)))
+
+
+def block_eigvalsh(h, sizes) -> np.ndarray:
+    """Ascending spectrum of a Hermitian matrix with diagonal blocks of ``sizes``.
+
+    Blocks that nonzero off-diagonal blocks connect form a group, and each
+    group takes one ``eigvalsh``: a symmetric permutation to block-diagonal
+    form keeps the spectrum, so this is exact.
+    """
+    arr = np.asarray(h)
+    offs = np.cumsum([0, *sizes])
+    starts = offs[:-1][np.diff(offs) > 0]  # empty blocks own no rows
+    if len(starts) > 1:
+        reach = np.logical_or.reduceat(np.logical_or.reduceat(arr != 0, starts, 0), starts, 1)
+        reach |= reach.T | np.eye(len(starts), dtype=bool)
+        while not np.array_equal(reach, wider := reach @ reach):
+            reach = wider
+        first = reach.argmax(axis=1)  # the first block of each block's group
+        if first.any():
+            group = np.repeat(first, np.diff(np.append(starts, offs[-1])))  # per row
+            return np.sort(np.concatenate([np.linalg.eigvalsh(arr[np.ix_(group == g, group == g)])
+                                           for g in set(first.tolist())]))
+    return np.linalg.eigvalsh(arr)
 
 
 def frobenius_norm(m) -> float:

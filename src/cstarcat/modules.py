@@ -11,6 +11,8 @@ both names and asserts the collapse rather than modelling the distinction.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import InvalidInput
@@ -20,6 +22,7 @@ from .linalg import (
     frobenius_norm,
     op_norm,
     orthonormal_span,
+    psd_eigh,
     resolve_tol,
     span_eval,
 )
@@ -132,6 +135,14 @@ class HilbertModule:
                 ModuleElement(self, at, c, validate=False) for c in basis
             ]
         return self._eval_cache[at]
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Range frame: orthonormal (total_dim × rank) V with V V* ≈ proj, the
+        eigenvectors of ``psd_eigh(proj)`` kept by its clamp at ``tol.atol``.
+        A construction that holds such a factor may assign it instead."""
+        evals, evecs = psd_eigh(self.proj, self.tol)
+        return evecs[:, evals > 0.0]
 
     def eval_dim(self, at: int) -> int:
         return len(self.eval_basis(at))

@@ -258,6 +258,7 @@ class ConjugateBimodule:
         self.supp: dict[int, np.ndarray] = {}
         self.sqrt: dict[int, np.ndarray] = {}
         self.isqrt: dict[int, np.ndarray] = {}
+        roots: dict[int, np.ndarray] = {}
         ob_map = []
         for y in range(dst.n_objects):
             gens = []
@@ -277,6 +278,7 @@ class ConjugateBimodule:
                 self.sqrt[y] = zero
                 self.isqrt[y] = zero
                 ob_map.append(HilbertModule(src, (0,), zero, tol=self.tol, validate=False))
+                ob_map[-1].frame, roots[y] = np.zeros((d0, 0), dtype=np.complex128), np.zeros(0)
                 continue
             gram = data.left_product_block(gens, gens)
             gram = 0.5 * (gram + gram.conj().T)
@@ -287,9 +289,11 @@ class ConjugateBimodule:
             self.isqrt[y] = (support / root) @ support.conj().T
             self.supp[y] = support @ support.conj().T
             ob_map.append(HilbertModule(src, objects, self.supp[y], tol=self.tol))
+            ob_map[-1].frame, roots[y] = support, root
 
         # the action of b is sqrt · Λ_b · isqrt, where column block α of Λ_b
-        # holds the conjugated coefficients of e_α · b* over the y' generators
+        # holds the conjugated coefficients of e_α · b* over the y' generators;
+        # through the frames S (sqrt = S·root·S*), (S'·root') · (S'* Λ_b S) · (S/root)*
         fibers = [self._fibers(y) for y in range(dst.n_objects)]
         mor_blocks: dict[tuple[int, int], np.ndarray] = {}
         for y in range(dst.n_objects):
@@ -306,11 +310,13 @@ class ConjugateBimodule:
                                      coeffs.reshape(len(gens_p), len(basis), len(gens))))
                 stack = np.empty((len(basis), ob_map[yp].total_dim, ob_map[y].total_dim),
                                  dtype=np.complex128)
+                s_p, s = ob_map[yp].frame, ob_map[y].frame
+                left, s_p_adj, right = s_p * roots[yp], s_p.conj().T, (s / roots[y]).conj().T
                 for i in range(len(basis)):
                     lam = np.zeros(stack.shape[1:], dtype=np.complex128)
                     for r_p, r, eye, coeffs in lams:
                         lam[r_p[:, None], r[None, :]] = np.kron(coeffs[:, i], eye)
-                    stack[i] = self.sqrt[yp] @ lam @ self.isqrt[y]
+                    stack[i] = left @ (s_p_adj @ lam @ s) @ right
                 mor_blocks[(y, yp)] = stack
         self.bimodule = Bimodule(dst, src, ob_map, mor_blocks, tol=self.tol, validate=False)
 

@@ -538,3 +538,19 @@ def test_bimodule_residuals_match_per_element_loop(cat, kind):
     for name in ("functoriality", "star-preservation"):
         assert abs(checks[name] - ref[name]) <= 1e-13 * max(ref[name], 1.0)
     assert (ref["functoriality"] > 0.01) == (kind == "perturbed")
+
+
+@pytest.mark.parametrize("case", ["seed4-E-conj", "seed4-conj-E", "twist-yoneda", "double-yoneda",
+                                  "uncompressed"])
+def test_tensor_action_matches_frame_free_compression(case):
+    # the blocks compress through the fibers' frames: F's extension of
+    # V_y (V_y* b V_x) V_x* agrees with that of P_y b P_x
+    T = tensor_bimodule_bimodule(*_tensor_case(case))
+    E, F = T.left, T.right
+    for x in range(E.source.n_objects):
+        for y in range(E.source.n_objects):
+            fx, fy = E.ob(x), E.ob(y)
+            got = T.mor_stack(x, y)
+            for g, b in zip(got, E.mor_stack(x, y)):
+                ref = F.hull_extend(fx.base, fy.base, fy.proj @ b @ fx.proj)
+                assert np.max(np.abs(g - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)

@@ -349,33 +349,38 @@ def test_functor_residuals_match_per_element_loop(perturb):
         verify_functor(identity_functor(_not_closed_category()))
 
 
-@pytest.mark.parametrize("symmetrized", [False, True])
-def test_projection_report_matches_three_norms(symmetrized, monkeypatch):
-    # the residuals are those of one op_norm per check; an exactly Hermitian
-    # matrix skips the eigensolve of its zero skew part
+def assert_projection_report_bounds_three_norms(cat, base, p):
+    """The three-norm form is the reference: ``proj-idempotent`` equals
+    ||P² - P|| within rounding when P is Hermitian and bounds it otherwise,
+    no threshold is looser, and the other two residuals are unchanged."""
     from cstarcat.category import _projection_report
+
+    herm, idem, span = _projection_report(cat, base, p, cat.tol).checks
+    scale = max(op_norm(p), 1.0)
+    slack = 8 * np.finfo(float).eps * p.shape[0] * scale
+    ref = op_norm(p @ p - p)
+    assert herm.residual == op_norm(p - p.conj().T)
+    if herm.residual == 0.0:
+        assert abs(idem.residual - ref) <= slack
+    else:
+        assert idem.residual >= ref - slack
+    assert span.residual == block_residual(cat, base, base, p)
+    # ||H|| <= ||P||, up to the rounding of the two eigensolves
+    assert all(c.threshold <= cat.tol.bound(scale + slack) for c in (herm, idem, span))
+    return herm, idem
+
+
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_projection_report_against_three_norm_reference(symmetrized):
     from cstarcat.generators import random_block_projection
 
     cat, _ = random_block_category(4, n_objects=2, max_mult=2)
     rng = np.random.default_rng(1)
-    calls, eigvalsh = [], np.linalg.eigvalsh
-
-    def counting_eigvalsh(*args, **kwargs):
-        calls.append(1)
-        return eigvalsh(*args, **kwargs)
-
     for base in [(0,), (1, 0, 1), (0, 0, 1, 1)]:
         p = random_block_projection(rng, cat, base)
         p = p + 1e-13 * rng.standard_normal(p.shape)
         if symmetrized:
             p = 0.5 * (p + p.conj().T)
-        ref = [op_norm(p - p.conj().T), op_norm(p @ p - p), block_residual(cat, base, base, p)]
-        bound = cat.tol.bound(max(op_norm(p), 1.0))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        calls.clear()
-        checks = _projection_report(cat, base, p, cat.tol).checks
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        assert [c.residual for c in checks] == ref
-        assert all(c.threshold == bound for c in checks)
-        assert (checks[0].residual == 0.0) == symmetrized
-        assert len(calls) == (2 if symmetrized else 3)
+        herm, idem = assert_projection_report_bounds_three_norms(cat, base, p)
+        assert (herm.residual == 0.0) == symmetrized
+        assert idem.passed

@@ -61,6 +61,20 @@ def test_broken_groupoid_rejected():
         )
 
 
+@pytest.mark.parametrize("build", [
+    lambda: FiniteGroupoid.cyclic(0),
+    lambda: FiniteGroupoid.from_group_table([], []),
+    lambda: FiniteGroupoid(["x"], [("e", 0, 0)], {(0, 0): 0}, [0], [1]),
+    lambda: FiniteGroupoid(["x"], [("e", 0, 0)], {(0, 0): 0}, [5], [0]),
+    lambda: FiniteGroupoid(["x"], [("e", 0, 0)], {(0, 0): 3}, [0], [0]),
+    lambda: FiniteGroupoid(["x"], [("e", 0, 0)], {(0, 0): 0, (0, 7): 0}, [0], [0]),
+    lambda: FiniteGroupoid(["x"], [("e", 0, 2)], {(0, 0): 0}, [0], [0]),
+])
+def test_out_of_range_groupoid_index_is_invalid_input(build):
+    with pytest.raises(InvalidInput):
+        build()
+
+
 def test_block_category_one_sector_multiplicity_one():
     cat, structure = random_block_category(0, n_objects=2, n_sectors=1, max_mult=1)
     for x in range(2):

@@ -6,6 +6,7 @@ import pytest
 from cstarcat.errors import InvalidInput
 from cstarcat.linalg import (
     Tolerance,
+    block_eigvalsh,
     frac_power,
     in_span,
     null_space,
@@ -264,3 +265,46 @@ def test_span_pair_matches_the_contraction_form(lead, k, r, c):
     ref = np.tensordot(weights, basis, axes=(-1, 0)) if k else np.zeros(lead + shape)
     assert mats.shape == lead + shape
     assert np.max(np.abs(mats - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1.0)
+
+
+@pytest.mark.parametrize("case, groups", [("dense", 1), ("block-diagonal", 4), ("permuted", 2),
+                                          ("repeated-objects", 2), ("empty-block", 2)])
+def test_block_eigvalsh_matches_full_spectrum(case, groups, monkeypatch):
+    # one eigvalsh per group of blocks that nonzero off-diagonal blocks link
+    from cstarcat.category import CStarCategory, random_block
+
+    rng = np.random.default_rng(len(case))
+    sizes = [2, 3, 2, 4]
+    h = random_complex(rng, 11, 11)
+    h = h + h.conj().T
+    edges = np.cumsum([0] + sizes)
+    blocks = [range(edges[i], edges[i + 1]) for i in range(4)]
+    linked = {"dense": None, "block-diagonal": [], "permuted": [(0, 2), (1, 3)],
+              "empty-block": [(0, 1), (1, 3)]}.get(case)
+    if case == "repeated-objects":
+        # base (0, 1, 0) over two objects with no morphisms between them
+        cat = CStarCategory([("a", 2), ("b", 3)],
+                            {(0, 0): [random_complex(rng, 2, 2) for _ in range(4)],
+                             (1, 1): [random_complex(rng, 3, 3) for _ in range(9)]})
+        sizes = [2, 3, 2]
+        h = random_block(rng, cat, (0, 1, 0), (0, 1, 0))
+        h = h + h.conj().T
+    elif linked is not None:
+        for i in range(4):
+            for j in range(4):
+                if i != j and (min(i, j), max(i, j)) not in linked:
+                    h[np.ix_(blocks[i], blocks[j])] = 0.0
+    if case == "empty-block":
+        sizes = [2, 0, 3, 2, 4]
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting_eigvalsh(m, *args, **kwargs):
+        calls.append(m.shape[0])
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    got = block_eigvalsh(h, sizes)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    ref = np.linalg.eigvalsh(h)
+    assert len(calls) == groups and sum(calls) == h.shape[0]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -421,3 +421,18 @@ def test_eval_basis_matches_projected_column_span():
             for e in basis:
                 assert op_norm(module.proj @ e.col - e.col) <= 1e-10
 
+
+
+def test_frame_is_an_orthonormal_factor_of_the_projection():
+    # V V* = P within the module's bound, V* V = I, width the rank of P
+    from cstarcat.modules import HilbertModule
+
+    island = _connected_pair_and_island()
+    zero = HilbertModule(island, (0,), np.zeros((island.dim(0),) * 2), validate=False)
+    for module in _eval_basis_cases() + [zero]:
+        V = module.frame
+        assert V.shape == (module.total_dim, round(np.trace(module.proj).real))
+        assert op_norm(V @ V.conj().T - module.proj) <= module.tol.bound(1.0)
+        if V.size:
+            assert np.max(np.abs(V.conj().T @ V - np.eye(V.shape[1]))) <= 1e-13
+        assert module.frame is V  # derived once

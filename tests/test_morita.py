@@ -791,6 +791,45 @@ def test_conjugate_makes_no_per_generator_vdot(monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("case", ["seed4", "seed7", "corner", "yoneda"])
+def test_conjugate_action_through_frames_matches_root_sandwich(case):
+    # (S'·root') (S'* Λ_b S) (S/root)* is sqrt · Λ_b · isqrt, zero fibers included
+    from cstarcat.category import block_slices
+
+    data = _conjugate_case(case)
+    conj = conjugate_bimodule(data)
+    E = data.bimodule
+    for y in range(E.target.n_objects):
+        S = conj.bimodule.ob(y).frame  # the support of the generator Gram
+        assert np.array_equal(S @ S.conj().T, conj.supp[y]) and (S.size or not conj.gens[y])
+        cols = block_slices(E.source, conj.gen_objects[y])
+        for yp in range(E.target.n_objects):
+            for b, got in zip(E.target.hom_basis(y, yp), conj.bimodule.mor_stack(y, yp)):
+                lam = np.zeros(got.shape, dtype=complex)
+                for a, (e, x) in enumerate(zip(conj.gens[y], conj.gen_objects[y])):
+                    lam[:, cols[a]] = _reference_coefficients(conj, yp, x, e.col @ b.conj().T)
+                ref = conj.sqrt[yp] @ lam @ conj.isqrt[y]
+                assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+def test_tensor_validation_takes_one_spectrum_per_block_group(monkeypatch):
+    # E ⊗ conj(E) on the worst criterion-8 size class is 350 wide and block
+    # diagonal, 154 + 196: its check takes one eigvalsh per block, no 350-wide Gram
+    cat, _ = random_block_category(4, n_objects=2, max_mult=2)
+    _, data = mat_equivalence(cat)
+    tensor = tensor_module_bimodule(data.bimodule.ob(0), conjugate_bimodule(data).bimodule).module
+    assert tensor.total_dim == 350
+    widths, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting_eigvalsh(m, *args, **kwargs):
+        widths.append(m.shape[-1])
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    HilbertModule(tensor.cat, tensor.base, tensor.proj, tol=tensor.tol)
+    assert sorted(widths) == [154, 196]
+
+
 def test_morita_builds_stay_within_their_output_memory():
     # peak allocation of each build, against the bytes of what it keeps:
     # stacking a build over basis elements would raise the peak far above it
