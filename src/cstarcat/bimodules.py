@@ -20,8 +20,10 @@ from .category import (
     Morphism,
     _action_residuals,
     _block_diagonal,
+    _block_view,
     _check_pair_keys,
     _object_rows,
+    _set_blocks,
     block_residual,
     list_dim,
 )
@@ -99,11 +101,9 @@ class Bimodule:
                 self._blocks[(x, y)] = stack
         if validate:
             res = 0.0
-            for (x, y), stack in self._blocks.items():
-                for blk in stack:
-                    res = max(res, block_residual(
-                        target, self.ob_map[x].base, self.ob_map[y].base, blk
-                    ))
+            for (x, y), stack in self._blocks.items():  # one stacked projection per pair
+                res = max(res, float(np.max(block_residual(
+                    target, self.ob_map[x].base, self.ob_map[y].base, stack), initial=0.0)))
             if res > self.tol.bound(1.0) * 10:
                 raise InvalidInput(f"action blocks leave their hom-spaces ({res:.3e})")
 
@@ -134,19 +134,26 @@ class Bimodule:
         """
         src, dst_list, src_list = self.source, tuple(dst_list), tuple(src_list)
         arr = as_cmatrix(block, list_dim(src, dst_list), list_dim(src, src_list))
-        dims_out = [self.ob_map[y].total_dim for y in dst_list]
-        dims_in = [self.ob_map[x].total_dim for x in src_list]
-        out = np.zeros((sum(dims_out), sum(dims_in)), dtype=np.complex128)
-        rows_out = _object_rows(src, dst_list, dims_out)
-        cols, cols_in = _object_rows(src, src_list), _object_rows(src, src_list, dims_in)
-        # one action per pair of distinct objects, on all of its blocks at once
+        out = np.zeros((sum(self.ob_map[y].total_dim for y in dst_list),
+                        sum(self.ob_map[x].total_dim for x in src_list)), dtype=np.complex128)
+        self._extend_into(out, src_list, dst_list, arr)
+        return out
+
+    def _extend_into(self, out: np.ndarray, src_list: tuple, dst_list: tuple,
+                     arr: np.ndarray) -> None:
+        """``hull_extend`` written into ``out``, which must be zero: one
+        action per pair of distinct objects on all of its blocks at once, and
+        none for a pair whose blocks are all zero, since their image is zero."""
+        src = self.source
+        rows_out = _object_rows(src, dst_list, [self.ob_map[y].total_dim for y in dst_list])
+        cols_in = _object_rows(src, src_list, [self.ob_map[x].total_dim for x in src_list])
+        cols = _object_rows(src, src_list)
         for y, r in _object_rows(src, dst_list).items():
             for x, c in cols.items():
                 if src.hom_dim(x, y):
-                    ro, ci = rows_out[y], cols_in[x]
-                    out[ro[:, None, :, None], ci[None, :, None, :]] = self._act(
-                        x, y, arr[r[:, None, :, None], c[None, :, None, :]])
-        return out
+                    blocks = _block_view(arr, r, c)
+                    if blocks.any():
+                        _set_blocks(out, rows_out[y], cols_in[x], self._act(x, y, blocks))
 
     def __repr__(self) -> str:
         return f"Bimodule({self.source!r} -> Hilb[{self.target!r}])"
@@ -388,10 +395,10 @@ class BimoduleTensor(Bimodule):
             for y in range(E.source.n_objects):
                 fx, fy = E.ob(x), E.ob(y)
                 blocks = E.mor_stack(x, y)
-                stack = np.empty((blocks.shape[0], ob_map[y].total_dim, ob_map[x].total_dim),
+                stack = np.zeros((blocks.shape[0], ob_map[y].total_dim, ob_map[x].total_dim),
                                  dtype=np.complex128)
                 for i, c in enumerate(fy.frame.conj().T @ blocks @ fx.frame):
-                    stack[i] = F.hull_extend(fx.base, fy.base, fy.frame @ c @ fx.frame.conj().T)
+                    F._extend_into(stack[i], fx.base, fy.base, fy.frame @ c @ fx.frame.conj().T)
                 mor_blocks[(x, y)] = stack
         super().__init__(E.source, F.target, ob_map, mor_blocks,
                          tol=E.tol, validate=False)

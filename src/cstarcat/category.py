@@ -15,6 +15,8 @@ C*-functors with their verification.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ClosureViolation, CompositionMismatch, InvalidInput, NotInvertible
@@ -92,7 +94,7 @@ class CStarCategory:
     def __init__(self, objects, homs, tol=None, assume_orthonormal=False):
         tol = resolve_tol(tol)
         self.tol = tol
-        self._row_plans: dict[tuple, dict[int, np.ndarray]] = {}  # see _object_rows
+        self._row_plans: dict[tuple, dict[int, _Rows]] = {}  # see _object_rows
         self._labels: list[str] = []
         self._dims: list[int] = []
         for label, dim in objects:
@@ -527,45 +529,86 @@ def block_slices(cat: CStarCategory, lst) -> list[slice]:
     return _size_slices([cat.dim(x) for x in lst])
 
 
-def _object_rows(cat: CStarCategory, lst, sizes=None) -> dict[int, np.ndarray]:
-    """Row indices of the blocks of each object of a list.
+class _Rows(NamedTuple):
+    """Rows of the n blocks of one object in a list: an (n, size) index
+    array and, when the blocks follow each other, the same rows as one slice."""
 
-    Object x maps to an (n, size) array, one row per occurrence of x in
-    ``lst`` in order; blocks have size ``cat.dim(x)``, or ``sizes[i]`` for
-    the i-th entry when given (the size must depend only on the object).
-    With ``r``, ``c`` two such arrays, ``arr[r[:, None, :, None],
-    c[None, :, None, :]]`` is the (n_r, n_c, size_r, size_c) stack of blocks.
-    The plan is built once per (list, sizes) and kept on the category, so
-    its arrays are shared and read-only.
+    idx: np.ndarray
+    run: slice | None
+
+
+def _object_rows(cat: CStarCategory, lst, sizes=None) -> dict[int, _Rows]:
+    """Row plan of the blocks of each object of a list.
+
+    Object x maps to the rows of its n occurrences in ``lst``, in order;
+    blocks have size ``cat.dim(x)``, or ``sizes[i]`` for the i-th entry when
+    given (the size must depend only on the object).  ``_block_view`` and
+    ``_set_blocks`` read and write the (n_r, n_c, size_r, size_c) stack of
+    blocks at two such plans.  The plan is built once per (list, sizes) and
+    kept on the category, so its arrays are shared and read-only.
     """
     key = (tuple(lst), None if sizes is None else tuple(sizes))
     if key not in cat._row_plans:
-        rows: dict[int, list[range]] = {}
+        runs: dict[int, list[slice]] = {}
         for x, sl in zip(lst, _size_slices([cat.dim(x) for x in lst] if sizes is None else sizes)):
-            rows.setdefault(x, []).append(range(sl.start, sl.stop))
-        cat._row_plans[key] = {x: np.array(r, dtype=np.intp) for x, r in rows.items()}
-        for arr in cat._row_plans[key].values():
-            arr.flags.writeable = False
+            runs.setdefault(x, []).append(sl)
+        plan = {}
+        for x, sls in runs.items():
+            idx = np.array([range(sl.start, sl.stop) for sl in sls], dtype=np.intp)
+            idx.flags.writeable = False
+            follow = all(a.stop == b.start for a, b in zip(sls, sls[1:]))
+            plan[x] = _Rows(idx, slice(sls[0].start, sls[-1].stop) if follow else None)
+        cat._row_plans[key] = plan
     return cat._row_plans[key]
 
 
+def _block_view(arr: np.ndarray, r: _Rows, c: _Rows) -> np.ndarray:
+    """The (..., n_r, n_c, size_r, size_c) blocks of ``arr`` at rows ``r``
+    and columns ``c``: a reshaped slice view when both are runs, else a
+    fancy-indexed copy (an object interleaved with others, as in (0, 1, 0))."""
+    if r.run is None or c.run is None:
+        return arr[..., r.idx[:, None, :, None], c.idx[None, :, None, :]]
+    sub = arr[..., r.run, c.run]
+    return sub.reshape(sub.shape[:-2] + r.idx.shape + c.idx.shape, copy=False).swapaxes(-3, -2)
+
+
+def _set_blocks(out: np.ndarray, r: _Rows, c: _Rows, values) -> None:
+    """Write the (..., n_r, n_c, size_r, size_c) blocks of ``out`` at rows
+    ``r`` and columns ``c``."""
+    if r.run is None or c.run is None:
+        out[..., r.idx[:, None, :, None], c.idx[None, :, None, :]] = values
+    else:
+        _block_view(out, r, c)[...] = values
+
+
 def block_project(cat: CStarCategory, src_lst, dst_lst, mat) -> np.ndarray:
-    """Blockwise orthogonal projection onto the hull hom-space, one
-    ``hom_project`` per pair of distinct objects."""
-    arr = as_cmatrix(mat, list_dim(cat, dst_lst), list_dim(cat, src_lst))
+    """Blockwise orthogonal projection onto the hull hom-space of one block
+    matrix or a (..., rows, cols) stack, one ``hom_project`` per pair of
+    distinct objects; a pair whose blocks are all zero is left at zero."""
+    arr = np.asarray(mat, dtype=np.complex128)
+    shape = (list_dim(cat, dst_lst), list_dim(cat, src_lst))
+    if arr.ndim == 2:
+        arr = as_cmatrix(arr, *shape)
+    elif arr.shape[-2:] != shape or not np.all(np.isfinite(arr)):
+        raise InvalidInput(f"expected a finite stack of {shape} block matrices, "
+                           f"got shape {arr.shape}")
     out = np.zeros_like(arr)
     cols = _object_rows(cat, src_lst)
     for y, r in _object_rows(cat, dst_lst).items():
         for x, c in cols.items():
             if cat.hom_dim(x, y):
-                at = (r[:, None, :, None], c[None, :, None, :])
-                out[at] = cat.hom_project(x, y, arr[at])
+                blocks = _block_view(arr, r, c)
+                if blocks.any():
+                    _set_blocks(out, r, c, cat.hom_project(x, y, blocks))
     return out
 
 
-def block_residual(cat: CStarCategory, src_lst, dst_lst, mat) -> float:
-    arr = as_cmatrix(mat, list_dim(cat, dst_lst), list_dim(cat, src_lst))
-    return frobenius_norm(arr - block_project(cat, src_lst, dst_lst, arr))
+def block_residual(cat: CStarCategory, src_lst, dst_lst, mat) -> float | np.ndarray:
+    """Frobenius distance from the block hom-space: a float for one matrix,
+    an array over the leading axes for a stack."""
+    arr = np.asarray(mat, dtype=np.complex128)
+    diff = arr - block_project(cat, src_lst, dst_lst, arr)
+    return frobenius_norm(diff) if diff.ndim == 2 else np.linalg.norm(diff, axis=(-2, -1))
 
 
 def _projection_report(cat: CStarCategory, base, proj: np.ndarray, tol: Tolerance) -> Report:

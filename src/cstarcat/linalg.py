@@ -141,7 +141,9 @@ def herm_eigh(m, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
     evals, evecs = np.linalg.eigh(0.5 * (arr + arr.conj().T))
     # the operator norm of the Hermitian part is its largest |eigenvalue|
     scale = float(np.max(np.abs(evals))) if evals.size else 0.0
-    if op_norm(arr - arr.conj().T) > tol.bound(scale):
+    skew = arr - arr.conj().T
+    # an exactly Hermitian input has a zero skew part: no eigensolve for it
+    if skew.any() and op_norm(skew) > tol.bound(scale):
         raise InvalidInput("matrix is not Hermitian within tolerance")
     return evals, evecs
 

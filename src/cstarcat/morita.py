@@ -21,6 +21,7 @@ from .category import (
     MatrixAlgebra,
     Morphism,
     _object_rows,
+    _set_blocks,
     list_dim,
     matrix_algebra,
 )
@@ -29,14 +30,13 @@ from .modules import (
     ModuleElement,
     ModuleOperator,
     bounded_operator_basis,
-    inner_product,
-    single_rank,
     unitary_operator_report,
 )
 from .bimodules import (
     Bimodule,
     BimoduleMap,
     _cross_check,
+    _side_by_side,
     _whiskered_component,
     tensor_bimodule_bimodule,
     tensor_cross_check,  # noqa: F401  (perfbench/selftest.py reads it from this module)
@@ -116,26 +116,51 @@ class BiHilbertData:
             e_cols = np.stack([e.col for e, xa in zip(es, xs) if xa == x])
             for xp, c in cols.items():
                 f_cols = np.stack([f.col for f, xb in zip(fs, xps) if xb == xp])
-                theta = e_cols[:, None] @ f_cols.conj().swapaxes(-1, -2)[None]
-                pinv, k = self._solver(xp, x)
-                if k == 0:
-                    scale = np.multiply.outer(op_norms(e_cols), op_norms(f_cols))
-                    if np.any(op_norms(theta) > self.tol.bound(np.maximum(scale, 1.0)) * 100):
-                        raise NotInvertible(
-                            "nonzero single-rank operator over an empty hom-space"
-                        )
-                    continue
-                coords = theta.reshape(theta.shape[:2] + (-1,)) @ pinv.T
-                mats = span_eval(coords, src.hom_basis(xp, x))
-                acted = E._act(xp, x, mats)
-                # residuals and theta norms in one stacked eigensolve
-                residual, scale = op_norms(np.stack([acted - theta, theta]))
-                over = residual > self.tol.bound(np.maximum(scale, 1.0)) * 100
-                if np.any(over):
-                    raise NotInvertible("single-rank operator is outside the action image "
-                                        f"({residual[over][0]:.3e})")
-                out[r[:, None, :, None], c[None, :, None, :]] = mats
+                mats, _ = self._products(x, xp, e_cols[:, None], f_cols[None])
+                _set_blocks(out, r, c, mats)
         return out
+
+    def _products(self, x: int, xp: int, e_cols: np.ndarray,
+                  f_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Left products of broadcast stacks of columns of fibers x and xp at
+        one target object, as (..., dim(x), dim(xp)) matrices, with the
+        residuals E(mats) - theta of their action against theta = e f*.
+
+        Raises ``NotInvertible`` where a residual exceeds
+        ``tol.bound(max(||theta||, 1)) * 100``; over an empty hom-space the
+        products are zero and the scale is ||e|| ||f||.
+        """
+        src = self.bimodule.source
+        theta = e_cols @ f_cols.conj().swapaxes(-1, -2)
+        pinv, k = self._solver(xp, x)
+        if k == 0:
+            if _single_rank_excess(theta, lambda: op_norms(e_cols) * op_norms(f_cols),
+                                   self.tol) is not None:
+                raise NotInvertible("nonzero single-rank operator over an empty hom-space")
+            return np.zeros(theta.shape[:-2] + (src.dim(x), src.dim(xp)),
+                            dtype=np.complex128), -theta
+        coords = theta.reshape(theta.shape[:-2] + (-1,)) @ pinv.T
+        mats = span_eval(coords, src.hom_basis(xp, x))
+        residual = self.bimodule._act(xp, x, mats) - theta
+        excess = _single_rank_excess(residual, lambda: op_norms(theta), self.tol)
+        if excess is not None:
+            raise NotInvertible(f"single-rank operator is outside the action image ({excess:.3e})")
+        return mats, residual
+
+
+def _single_rank_excess(residual: np.ndarray, scale, tol: Tolerance) -> float | None:
+    """The first op norm of a residual stack above ``tol.bound(max(s, 1)) *
+    100``, with ``scale()`` the stack's scales s, or ``None``.
+
+    Op norms are taken only when the Frobenius norm of the whole stack
+    exceeds ``tol.bound(1.0) * 100``: below it no residual's op norm can,
+    since ||d|| <= ||d||_F, and the bound only grows with s.
+    """
+    if np.linalg.norm(residual) <= tol.bound(1.0) * 100:
+        return None
+    norms = op_norms(residual)
+    over = norms > tol.bound(np.maximum(scale(), 1.0)) * 100
+    return float(norms[over][0]) if over.any() else None
 
 
 def _fiber_of(E: Bimodule, e: ModuleElement) -> int:
@@ -154,6 +179,9 @@ def check_full(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool, Report]
     tol = resolve_tol(tol if tol is not None else E.tol)
     dst = E.target
     report = Report(context="fullness")
+    # per fiber and target object, the evaluation basis as columns side by side
+    wide = [[_side_by_side(E.ob(x).eval_basis(y), E.ob(x).total_dim)
+             for y in range(dst.n_objects)] for x in range(E.source.n_objects)]
     deficit = 0
     for y in range(dst.n_objects):
         for yp in range(dst.n_objects):
@@ -161,9 +189,11 @@ def check_full(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool, Report]
             if target_dim == 0:
                 continue
             coords = []
-            for x in range(E.source.n_objects):
-                es, fs = E.ob(x).eval_stack(yp), E.ob(x).eval_stack(y)
-                prods = es.conj().swapaxes(-1, -2)[:, None] @ fs[None]  # <e, f> per pair
+            a, b = dst.dim(yp), dst.dim(y)
+            for cols in wide:
+                # <e, f> for every pair of basis elements, as blocks of one product
+                prods = (cols[yp].conj().T @ cols[y]).reshape(
+                    cols[yp].shape[1] // a, a, cols[y].shape[1] // b, b).swapaxes(1, 2)
                 coords.append(dst.hom_coords(y, yp, prods).reshape(-1, target_dim))
             rank = int(np.linalg.matrix_rank(np.concatenate(coords), tol=tol.atol))
             deficit = max(deficit, target_dim - rank)
@@ -204,26 +234,29 @@ def check_imprimitivity(E: Bimodule, tol: Tolerance | None = None,
         return None, report
 
     data = BiHilbertData(E, tol)
-    ident_res = 0.0
-    norm_res = 0.0
+    # the samples in the order drawn, then one stacked evaluation per (x, x', y)
+    # of the pairs (e, f) of the identity check followed by the pairs (e, e)
+    # of the norm equality, which belong to (x, x, y)
+    groups: dict[tuple[int, int, int], tuple[list, list]] = {}
     for _ in range(samples):
         x = int(rng.integers(0, src.n_objects))
         xp = int(rng.integers(0, src.n_objects))
         y = int(rng.integers(0, E.target.n_objects))
-        fiber_e, fiber_f = E.ob(x), E.ob(xp)
-        e = fiber_e.random_element(rng, y)
-        f = fiber_f.random_element(rng, y)
-        if e.norm() <= 1e-12 or f.norm() <= 1e-12:
-            continue
-        prod = data.left_product(e, f)
-        theta = single_rank(e, f)
-        scale = max(e.norm() * f.norm(), 1.0)
-        ident_res = max(ident_res, op_norm(E.mor(prod).block - theta.block) / scale)
-        own = data.left_product(e, e)
-        norm_res = max(
-            norm_res,
-            abs(own.norm() - op_norm(inner_product(e, e).mat)) / max(e.norm() ** 2, 1.0),
-        )
+        e = E.ob(x).random_element(rng, y)
+        f = E.ob(xp).random_element(rng, y)
+        groups.setdefault((x, xp, y), ([], []))[0].append((e.col, f.col))
+        groups.setdefault((x, x, y), ([], []))[1].append((e.col, e.col))
+    ident_res = 0.0
+    norm_res = 0.0
+    for (x, xp, _), (ident, own) in groups.items():
+        n = len(ident)
+        es, fs = (np.array(cols) for cols in zip(*ident, *own))
+        mats, residual = data._products(x, xp, es, fs)
+        scale = np.maximum(op_norms(es) * op_norms(fs), 1.0)
+        ident_res = max(ident_res, float(np.max(op_norms(residual[:n]) / scale[:n], initial=0.0)))
+        inner = es[n:].conj().swapaxes(-1, -2) @ es[n:]
+        norm_res = max(norm_res, float(np.max(
+            np.abs(op_norms(mats[n:]) - op_norms(inner)) / scale[n:], initial=0.0)))
     report.add("left-product-identity", ident_res, tol.bound(1.0) * 100)
     report.add("norm-equality", norm_res, tol.bound(1.0) * 100)
     return data, report
@@ -327,7 +360,7 @@ class ConjugateBimodule:
             return {}
         rows = _object_rows(self.original.bimodule.source, self.gen_objects[y])
         pairs = list(zip(self.gens[y], self.gen_objects[y]))
-        return {x: (r.ravel(), np.stack([e.col for e, xa in pairs if xa == x]))
+        return {x: (r.idx.ravel(), np.stack([e.col for e, xa in pairs if xa == x]))
                 for x, r in rows.items()}
 
     def element_of(self, f: ModuleElement) -> ModuleElement:

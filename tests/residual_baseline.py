@@ -11,6 +11,10 @@ from another commit, say).  It reads no git state.
     PYTHONPATH=src python3 tests/residual_baseline.py --workload morita \
         --seeds 3,7,11,1101 [--save F] [--diff F]
 
+``--workload`` is ``morita``, ``reconstruction`` or ``structure``; the
+``reconstruction`` workload is not part of the benchmark's configuration,
+but it runs the criterion-9 path (tensor products and their cross-check).
+
 Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) on both sides of a
 comparison: the thread count changes the order of floating-point sums.
 """
@@ -55,7 +59,7 @@ def residual_hash(checks) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=("morita", "structure"))
+    parser.add_argument("--workload", required=True, choices=("morita", "reconstruction", "structure"))
     parser.add_argument("--seeds", default="3,7,11,1101")
     parser.add_argument("--save", default=None, help="write the residuals to this JSON file")
     parser.add_argument("--diff", default=None, help="compare with a JSON file from --save")

@@ -1,5 +1,7 @@
 """Bimodule axioms, non-degeneracy, tensor products and their coherence."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,34 @@ def test_out_of_range_action_keys_are_rejected(cat):
         Bimodule(cat, cat, ob_map, blocks)
 
 
+def test_action_blocks_outside_their_hom_spaces_are_rejected(cat):
+    """Validation measures every block of a stack, and reads no non-finite one."""
+    from cstarcat.bimodules import Bimodule
+    from cstarcat.category import block_residual
+    from cstarcat.errors import InvalidInput
+
+    ob_map = [representable(cat, x) for x in range(cat.n_objects)]
+    blocks = {(x, y): cat.hom_basis(x, y).copy()
+              for x in range(cat.n_objects) for y in range(cat.n_objects)}
+    Bimodule(cat, cat, ob_map, blocks)
+    # a nonzero hom-space that is not all of its matrix space
+    x, y = next(pair for pair, stack in blocks.items() if 0 < len(stack) < stack[0].size)
+    rng = np.random.default_rng(4)
+    off = rng.standard_normal(blocks[x, y].shape[1:]) + 0j
+    off -= cat.hom_project(x, y, off)  # orthogonal to hom(x, y)
+    bad = dict(blocks)
+    bad[x, y] = blocks[x, y].copy()
+    bad[x, y][-1] += 1e-6 * off / np.linalg.norm(off)
+    residuals = block_residual(cat, (x,), (y,), bad[x, y])
+    assert residuals.shape == (len(bad[x, y]),)
+    assert residuals[-1] == pytest.approx(1e-6, rel=1e-6)
+    with pytest.raises(InvalidInput, match="leave their hom-spaces"):
+        Bimodule(cat, cat, ob_map, bad)
+    bad[x, y][-1] = np.nan
+    with pytest.raises(InvalidInput):
+        Bimodule(cat, cat, ob_map, bad)
+
+
 def _reference_quotient_gram(M, E):
     """The oracle Gram and quotient dimensions by the pairwise loop: one
     inner product and one ``E.mor`` per pair of generating simple tensors."""
@@ -355,7 +385,8 @@ def _reference_hull_extend(E, src_list, dst_list, block):
 
 
 @pytest.mark.parametrize("kind", ["yoneda", "twist", "conjugate"])
-@pytest.mark.parametrize("src_list, dst_list", [((0, 1, 0), (1, 0, 1, 1)), ((1,), (0, 1, 0))])
+@pytest.mark.parametrize("src_list, dst_list", [((0, 1, 0), (1, 0, 1, 1)), ((1,), (0, 1, 0)),
+                                                ((0, 0, 1), (1, 1)), ((1, 1), (0, 0, 1))])
 def test_hull_extend_matches_per_pair_action(kind, src_list, dst_list):
     from cstarcat.morita import check_imprimitivity, conjugate_bimodule
 
@@ -369,11 +400,22 @@ def test_hull_extend_matches_per_pair_action(kind, src_list, dst_list):
     src = E.source
     rng = np.random.default_rng(len(src_list))
     shape = (sum(src.dim(y) for y in dst_list), sum(src.dim(x) for x in src_list))
+    # the blocks from object 1 to object 1 exactly zero: their image is zero
+    zeroed = random_block(rng, src, src_list, dst_list)
+    rows, cols = block_slices(src, dst_list), block_slices(src, src_list)
+    for j, i in itertools.product(range(len(dst_list)), range(len(src_list))):
+        if dst_list[j] == src_list[i] == 1:
+            zeroed[rows[j], cols[i]] = 0.0
     for block in (random_block(rng, src, src_list, dst_list),
-                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape), zeroed):
         ref = _reference_hull_extend(E, src_list, dst_list, block)
         got = E.hull_extend(src_list, dst_list, block)
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+    out_rows = _size_slices([E.ob(y).total_dim for y in dst_list])
+    out_cols = _size_slices([E.ob(x).total_dim for x in src_list])
+    for j, i in itertools.product(range(len(dst_list)), range(len(src_list))):
+        if dst_list[j] == src_list[i] == 1:
+            assert not got[out_rows[j], out_cols[i]].any()
 
 
 def _reference_span_rank_deficit(E, tol):

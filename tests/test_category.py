@@ -6,6 +6,9 @@ import pytest
 from cstarcat.category import (
     CStarCategory,
     CStarFunctor,
+    _block_view,
+    _object_rows,
+    _set_blocks,
     block_project,
     block_residual,
     block_slices,
@@ -18,7 +21,7 @@ from cstarcat.category import (
     verify_category,
     verify_functor,
 )
-from cstarcat.errors import ClosureViolation, CompositionMismatch, NotInvertible
+from cstarcat.errors import ClosureViolation, CompositionMismatch, InvalidInput, NotInvertible
 from cstarcat.generators import FiniteGroupoid, groupoid_category, random_block_category
 from cstarcat.linalg import (
     frac_power,
@@ -253,11 +256,24 @@ def _reference_block_project(cat, src_lst, dst_lst, mat):
     return out
 
 
+def _zero_object_pair(cat, src_lst, dst_lst, mat, x, y):
+    """``mat`` with every block from object x to object y set to zero."""
+    out = mat.copy()
+    rows, cols = block_slices(cat, dst_lst), block_slices(cat, src_lst)
+    for j, yj in enumerate(dst_lst):
+        for i, xi in enumerate(src_lst):
+            if (xi, yj) == (x, y):
+                out[rows[j], cols[i]] = 0.0
+    return out
+
+
 @pytest.mark.parametrize("seed", [3, 5])
 @pytest.mark.parametrize("src_lst, dst_lst", [
     ((0, 1, 0), (1, 0, 2, 0)),
     ((2,), (0, 2, 1, 2)),
     ((1, 2, 1), (0,)),
+    ((0, 0, 1), (1, 1)),
+    ((1, 1), (0, 0, 1)),
 ])
 def test_block_project_matches_per_block_loop(seed, src_lst, dst_lst):
     cat, _ = random_block_category(seed, n_objects=3)
@@ -265,11 +281,60 @@ def test_block_project_matches_per_block_loop(seed, src_lst, dst_lst):
     rng = np.random.default_rng(seed)
     shape = (sum(cat.dim(y) for y in dst_lst), sum(cat.dim(x) for x in src_lst))
     mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ref = _reference_block_project(cat, src_lst, dst_lst, mat)
-    got = block_project(cat, src_lst, dst_lst, mat)
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(mat))
-    assert block_residual(cat, src_lst, dst_lst, mat) == pytest.approx(
-        np.linalg.norm(mat - ref), rel=1e-12)
+    # the blocks of one object pair with a nonzero hom-space exactly zero
+    x, y = next((x, y) for y in dst_lst for x in src_lst if cat.hom_dim(x, y))
+    zeroed = _zero_object_pair(cat, src_lst, dst_lst, mat, x, y)
+    for m in (mat, zeroed):
+        ref = _reference_block_project(cat, src_lst, dst_lst, m)
+        got = block_project(cat, src_lst, dst_lst, m)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(m))
+        assert block_residual(cat, src_lst, dst_lst, m) == pytest.approx(
+            np.linalg.norm(m - ref), rel=1e-12)
+    assert not np.any(got[zeroed != mat])
+
+
+def test_block_project_takes_stacks():
+    """A stack is projected and measured matrix by matrix."""
+    cat, _ = random_block_category(5, n_objects=3)
+    src_lst, dst_lst = (0, 1, 0), (1, 1, 2)
+    rng = np.random.default_rng(1)
+    shape = (4, sum(cat.dim(y) for y in dst_lst), sum(cat.dim(x) for x in src_lst))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = block_project(cat, src_lst, dst_lst, stack)
+    res = block_residual(cat, src_lst, dst_lst, stack)
+    assert res.shape == (4,)
+    for m, g, r in zip(stack, got, res):
+        ref = _reference_block_project(cat, src_lst, dst_lst, m)
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(m))
+        assert r == pytest.approx(np.linalg.norm(m - ref), rel=1e-12)
+    with pytest.raises(InvalidInput):
+        block_project(cat, src_lst, dst_lst, stack[..., :-1])
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+@pytest.mark.parametrize("lst", [(0, 1, 2), (1, 1, 1), (2, 0, 0), (0, 1, 0)])
+def test_block_view_matches_fancy_index(lst, lead):
+    """Runs are read and written through slice views, interleaved objects
+    through fancy indices; both give what the fancy-index form gives."""
+    cat, _ = random_block_category(3, n_objects=3)
+    other = (2, 1, 1, 0)
+    rng = np.random.default_rng(len(lst))
+    shape = lead + (sum(cat.dim(y) for y in lst), sum(cat.dim(x) for x in other))
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows, cols = _object_rows(cat, lst), _object_rows(cat, other)
+    at = {x: [i for i, v in enumerate(lst) if v == x] for x in set(lst)}
+    assert {x for x, r in rows.items() if r.run is None} == {
+        x for x, pos in at.items() if pos != list(range(pos[0], pos[0] + len(pos)))}
+    for r in rows.values():
+        for c in cols.values():
+            fancy = (Ellipsis, r.idx[:, None, :, None], c.idx[None, :, None, :])
+            got = _block_view(arr, r, c)
+            assert np.array_equal(got, arr[fancy])
+            assert np.shares_memory(got, arr) == (r.run is not None and c.run is not None)
+            out, ref = np.zeros_like(arr), np.zeros_like(arr)
+            _set_blocks(out, r, c, arr[fancy])
+            ref[fancy] = arr[fancy]
+            assert np.array_equal(out, ref)
 
 
 def _reference_closure(cat):

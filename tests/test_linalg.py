@@ -8,6 +8,7 @@ from cstarcat.linalg import (
     Tolerance,
     block_eigvalsh,
     frac_power,
+    herm_eigh,
     in_span,
     null_space,
     op_norm,
@@ -308,3 +309,25 @@ def test_block_eigvalsh_matches_full_spectrum(case, groups, monkeypatch):
     ref = np.linalg.eigvalsh(h)
     assert len(calls) == groups and sum(calls) == h.shape[0]
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case, solves", [("hermitian", 1), ("near-hermitian", 2)])
+def test_herm_eigh_skips_the_skew_solve_on_hermitian_input(case, solves, monkeypatch):
+    # the skew part's norm takes an eigensolve only when that part is nonzero
+    rng = np.random.default_rng(7)
+    h = random_complex(rng, 5, 5)
+    h = h + h.conj().T
+    if case == "near-hermitian":
+        h[0, 1] += 1e-12
+    calls, eigh, eigvalsh = [], np.linalg.eigh, np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m, *a, **k: calls.append("eigh") or eigh(m, *a, **k))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m, *a, **k: calls.append("eigvalsh") or eigvalsh(m, *a, **k))
+    evals, evecs = herm_eigh(h, TOL)
+    assert len(calls) == solves
+    monkeypatch.undo()
+    assert np.max(np.abs(evecs @ np.diag(evals) @ evecs.conj().T - 0.5 * (h + h.conj().T))) <= 1e-12
+    skewed = h.copy()
+    skewed[0, 1] += 1e-3
+    with pytest.raises(InvalidInput, match="not Hermitian"):
+        herm_eigh(skewed, TOL)

@@ -1,5 +1,7 @@
 """Imprimitivity certificates, conjugates, Morita witnesses, reconstruction."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,18 +23,20 @@ from cstarcat.generators import (
     random_module,
     unitary_twist_functor,
 )
-from cstarcat.linalg import op_norm
+from cstarcat.linalg import Tolerance, op_norm, op_norms, random_complex
 from cstarcat.modules import (
     HilbertModule,
     ModuleOperator,
     direct_sum,
     inner_product,
     representable,
+    single_rank,
     unitary_operator_report,
 )
 from cstarcat.morita import (
     BiHilbertData,
     _fiber_of,
+    _single_rank_excess,
     check_full,
     check_imprimitivity,
     conjugate_bimodule,
@@ -573,6 +577,97 @@ def test_left_product_block_errors():
     mixed = [yon.bimodule.ob(0).eval_basis(y)[0] for y in range(2)]
     with pytest.raises(InvalidInput, match="one target object"):
         yon.left_product_block(mixed[:1], mixed)
+
+
+def _imprimitivity_case(case):
+    if case == "yoneda":
+        return yoneda_bimodule(random_block_category(90, n_objects=2)[0])
+    if case == "twist":
+        cat = random_block_category(96, n_objects=2)[0]
+        return bimodule_from_functor(unitary_twist_functor(cat, seed=97))
+    if case == "conjugate":
+        _, equivalence = mat_equivalence(random_block_category(90, n_objects=2)[0])
+        return conjugate_bimodule(equivalence).bimodule
+    if case == "corner":  # fibers with zero evaluation spaces: zero samples
+        return corner_bimodule()
+    return mat_equivalence(random_block_category(4, n_objects=2, max_mult=2)[0])[1].bimodule
+
+
+def _reference_imprimitivity_samples(data, rng, samples):
+    """The sample checks of ``check_imprimitivity`` one sample at a time,
+    skipping a sample of norm at most 1e-12; the stacked form checks such a
+    sample too: it is zero or near it, and so is its residual."""
+    E = data.bimodule
+    src = E.source
+    ident_res = norm_res = 0.0
+    for _ in range(samples):
+        x = int(rng.integers(0, src.n_objects))
+        xp = int(rng.integers(0, src.n_objects))
+        y = int(rng.integers(0, E.target.n_objects))
+        e = E.ob(x).random_element(rng, y)
+        f = E.ob(xp).random_element(rng, y)
+        if e.norm() <= 1e-12 or f.norm() <= 1e-12:
+            continue
+        prod = data.left_product(e, f)
+        theta = single_rank(e, f)
+        scale = max(e.norm() * f.norm(), 1.0)
+        ident_res = max(ident_res, op_norm(E.mor(prod).block - theta.block) / scale)
+        own = data.left_product(e, e)
+        norm_res = max(norm_res, abs(own.norm() - op_norm(inner_product(e, e).mat))
+                       / max(e.norm() ** 2, 1.0))
+    return ident_res, norm_res
+
+
+@pytest.mark.parametrize("samples, seed", [(4, 0), (16, 3)])
+@pytest.mark.parametrize("case", ["yoneda", "twist", "conjugate", "mat", "corner"])
+def test_imprimitivity_samples_match_per_sample_reference(case, samples, seed, monkeypatch):
+    E = _imprimitivity_case(case)
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda s=None: made.append(default_rng(s)) or made[-1])
+    data, report = check_imprimitivity(E, samples=samples, seed=seed)
+    monkeypatch.undo()
+    rng = np.random.default_rng(seed)
+    ident, norm = _reference_imprimitivity_samples(data, rng, samples)
+    # the same draws in the same order: the generators are left in one state
+    assert made[0].integers(0, 2 ** 62) == rng.integers(0, 2 ** 62)
+    assert [c.name for c in report.checks] == [
+        "faithful-deficit", "onto-compacts-deficit", "product-span-deficit",
+        "left-product-identity", "norm-equality"]
+    checks = {c.name: c for c in report.checks}
+    # both residuals are relative to their samples' scale
+    for name, ref in (("left-product-identity", ident), ("norm-equality", norm)):
+        assert checks[name].threshold == data.tol.bound(1.0) * 100
+        assert abs(checks[name].residual - ref) <= 1e-13
+    assert report.passed == (case != "corner")  # the corner is not full on the right
+
+
+def test_single_rank_gate_matches_the_op_norm_form():
+    """The gate takes op norms only above the Frobenius cut, and raises
+    exactly when the op-norm form does, whatever the scales."""
+    tol = Tolerance()
+    low, rng = tol.bound(1.0) * 100, np.random.default_rng(11)
+    high = tol.bound(40.0) * 100
+
+    def with_norm(norm, rank):
+        m = random_complex(rng, 6, rank) @ random_complex(rng, rank, 6)
+        return m * (norm / op_norm(m))
+
+    residuals = [with_norm(0.5 * low, 1), with_norm(0.9 * low, 6), with_norm(2.0 * low, 1),
+                 with_norm(0.5 * high, 6), with_norm(2.0 * high, 1)]
+    # full rank: below the cut in op norm, above it in Frobenius norm
+    assert np.linalg.norm(residuals[1]) > low
+    for picks in itertools.chain.from_iterable(
+            itertools.combinations(range(5), n) for n in (1, 2, 3)):
+        stack = np.stack([residuals[i] for i in picks])
+        for s in (0.5, 1.0, 10.0, 40.0, 100.0):
+            scales = np.full(len(picks), s)
+            norms = op_norms(stack)
+            over = norms > tol.bound(np.maximum(scales, 1.0)) * 100
+            got = _single_rank_excess(stack, lambda: scales, tol)
+            assert (got is not None) == bool(over.any())
+            if got is not None:
+                assert got == norms[over][0]
 
 
 def _reference_surjectivity_deficit(T, tol):
