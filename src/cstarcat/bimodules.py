@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import Tolerance, as_cmatrix, op_norm, op_norms, resolve_tol, span_eval
+from .linalg import (Tolerance, as_cmatrix, numerical_rank, op_norm, op_norms, resolve_tol,
+                     span_eval)
 from .category import (
     CStarCategory,
     Morphism,
@@ -198,7 +199,13 @@ def yoneda_bimodule(cat: CStarCategory, tol: Tolerance | None = None) -> Bimodul
 
 def check_nondegenerate(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool, Report]:
     """Unit criterion and span-rank criterion for non-degeneracy; both are
-    computed and must agree (the report carries the comparison)."""
+    computed and must agree (the report carries the comparison).
+
+    The span rank at (x, z) is ``numerical_rank`` of the stacked images
+    E(b) e, with b an orthonormal hom basis and e an evaluation basis of unit
+    Frobenius norm; the action is contractive, so each image has Frobenius
+    norm at most 1 and the cut at ``atol`` is absolute on a unit scale.
+    """
     tol = resolve_tol(tol if tol is not None else E.tol)
     src, dst = E.source, E.target
     report = Report(context="nondegenerate")
@@ -223,8 +230,8 @@ def check_nondegenerate(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool
                     -1, module.total_dim * dst.dim(z))
                 for y in range(src.n_objects)
             ]
-            rank = np.linalg.matrix_rank(np.concatenate(images), tol=tol.atol)
-            deficit = max(deficit, target_dim - int(rank))
+            rank = numerical_rank(np.linalg.svd(np.concatenate(images), compute_uv=False), tol)
+            deficit = max(deficit, target_dim - rank)
     rank_ok = deficit == 0
     report.add("span-rank-deficit", float(deficit), 0.5)
     report.add("criteria-agree", float(unit_ok != rank_ok), 0.5)
@@ -317,7 +324,7 @@ class QuotientTensor:
             n, dz = len(gens), dst.dim(z)
             self.generators[z], self.gram[z] = gens, np.block(blocks)
             scalar = self.gram[z].reshape(n, dz, n, dz).trace(axis1=1, axis2=3)
-            self.dims[z] = int(np.linalg.matrix_rank(scalar, tol=tol.atol, hermitian=True))
+            self.dims[z] = numerical_rank(np.abs(np.linalg.eigvalsh(scalar)), tol)
 
 
 def _side_by_side(elements, rows: int) -> np.ndarray:

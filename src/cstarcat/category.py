@@ -27,6 +27,7 @@ from .linalg import (
     frac_power,
     frobenius_norm,
     min_herm_eig,
+    numerical_rank,
     op_norm,
     op_norms,
     orthonormal_span,
@@ -368,7 +369,7 @@ def polar_unitary(a: Morphism, tol: Tolerance | None = None) -> Morphism:
     if a.mat.shape[0] != a.mat.shape[1]:
         raise NotInvertible("polar unitary needs equal source and target dimensions")
     svals = np.linalg.svd(a.mat, compute_uv=False)
-    if svals.size == 0 or svals[-1] <= tol.atol:
+    if numerical_rank(svals, tol) < svals.size:
         raise NotInvertible("morphism is not invertible at the configured cutoff")
     u_mat = a.mat @ frac_power(a.mat.conj().T @ a.mat, -0.5, tol)
     return Morphism(a.cat, a.src, a.dst, u_mat)
@@ -481,7 +482,13 @@ def _action_residuals(src: CStarCategory, act, images, rng: np.random.Generator,
 def verify_functor(F: CStarFunctor, tol: Tolerance | None = None,
                    samples: int = 3, seed: int = 0) -> Report:
     """Check multiplicativity, *-preservation, norm-decrease and the
-    isometry property on hom-spaces where the action is injective."""
+    isometry property on hom-spaces where the action is injective.
+
+    Injectivity on hom(x, y) is ``numerical_rank`` of the stacked images of
+    its orthonormal basis.  The action is contractive, so each image has
+    Frobenius norm at most sqrt(d), with d the smaller side of the image
+    block; the cut at ``atol`` is absolute, not relative to that scale.
+    """
     tol = resolve_tol(tol)
     src = F.source
     mult, star, gains = _action_residuals(src, F._act, F.image_stack,
@@ -489,7 +496,8 @@ def verify_functor(F: CStarFunctor, tol: Tolerance | None = None,
     isometry = 0.0
     for (x, y), g in gains.items():
         k = src.hom_dim(x, y)
-        if np.linalg.matrix_rank(F.image_stack(x, y).reshape(k, -1), tol=tol.atol) == k:
+        if numerical_rank(np.linalg.svd(F.image_stack(x, y).reshape(k, -1), compute_uv=False),
+                          tol) == k:
             isometry = max([isometry, *map(abs, g)])
     report = Report(context="functor")
     report.add("multiplicativity", mult, tol.bound(1.0))
@@ -754,7 +762,7 @@ def column_sup_norm(cat: CStarCategory, src_lst, block, probes: int = 48,
             coords = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             b_col = span_eval(coords, stack)
             nb = op_norm(b_col)
-            if nb <= tol.atol:
+            if not numerical_rank([nb], tol):
                 continue
             best = max(best, op_norm(arr @ b_col) / nb)
 
@@ -764,7 +772,7 @@ def column_sup_norm(cat: CStarCategory, src_lst, block, probes: int = 48,
         evals, evecs = np.linalg.eigh(form)
         b_col = span_eval(evecs[:, -1], stack)
         nb = op_norm(b_col)
-        if nb > tol.atol:
+        if numerical_rank([nb], tol):
             best = max(best, op_norm(arr @ b_col) / nb)
     return best
 

@@ -4,7 +4,8 @@ Exit status is a stable contract: 0 when every check passes, 1 when a
 verification or construction fails, 2 when an input cannot be parsed or
 realized.  Reports are machine-readable and always include every residual.
 Tolerances come from flags, falling back to the CSTARCAT_TOL_ABS environment
-variable and then the library default.
+variable and then the library default; a tolerance that is not a finite,
+non-negative number is an unreadable input.
 """
 
 from __future__ import annotations
@@ -70,10 +71,12 @@ def _tolerance(args) -> Tolerance:
     base = default_tolerance()
     atol = args.tol_abs
     if atol is None:
-        env = os.environ.get("CSTARCAT_TOL_ABS")
-        atol = float(env) if env else base.atol
+        atol = os.environ.get("CSTARCAT_TOL_ABS") or base.atol
     rtol = args.tol_rel if args.tol_rel is not None else base.rtol
-    return Tolerance(atol=float(atol), rtol=float(rtol))
+    try:
+        return Tolerance(atol=float(atol), rtol=float(rtol))
+    except (ValueError, InvalidInput) as exc:
+        raise ParseError(f"bad tolerance: {exc}") from None
 
 
 def _emit(command: str, inputs: list[str], report: Report, started: float,

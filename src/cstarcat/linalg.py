@@ -3,13 +3,15 @@
 Operator norms, Hermitian functional calculus, positivity tests and
 Frobenius-span arithmetic.  Every other module funnels its numerics through
 these routines so rank cutoffs and tolerance conventions stay consistent:
-ranks are decided by a single singular-value threshold (``Tolerance.atol``),
-and Hermitian eigenvalues inside ``[-atol, atol]`` are clamped to zero before
+every rank is decided by ``numerical_rank``, which counts the singular values
+(or the eigenvalues of a Hermitian PSD operand) above ``Tolerance.atol``, and
+Hermitian eigenvalues inside ``[-atol, atol]`` are clamped to zero before
 fractional powers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ __all__ = [
     "Tolerance",
     "default_tolerance",
     "resolve_tol",
+    "numerical_rank",
     "as_cmatrix",
     "op_norm",
     "op_norms",
@@ -54,6 +57,12 @@ class Tolerance:
     atol: float = 1e-9
     rtol: float = 1e-8
 
+    def __post_init__(self):
+        for name in ("atol", "rtol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidInput(f"{name} must be finite and non-negative, got {value!r}")
+
     def bound(self, scale: float = 1.0) -> float:
         return self.atol + self.rtol * abs(scale)
 
@@ -70,6 +79,16 @@ def default_tolerance() -> Tolerance:
 
 def resolve_tol(tol: Tolerance | None) -> Tolerance:
     return _default_tol if tol is None else tol
+
+
+def numerical_rank(values, tol: Tolerance | None = None) -> int:
+    """The number of ``values`` above ``tol.atol``: the engine's one rank cut.
+
+    ``values`` are singular values, or the signed eigenvalues of a Hermitian
+    PSD operand, so a negative rounding-level eigenvalue is dropped.  A value
+    exactly at ``atol`` is dropped; empty ``values`` have rank 0.
+    """
+    return int(np.count_nonzero(np.asarray(values) > resolve_tol(tol).atol))
 
 
 def as_cmatrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -160,7 +179,8 @@ def psd_eigh(m, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
     scale = float(np.max(np.abs(evals))) if evals.size else 0.0
     if np.any(evals < -tol.bound(scale)):
         raise InvalidInput("matrix is not positive semidefinite within tolerance")
-    return np.where(evals <= tol.atol, 0.0, evals), evecs
+    dropped = evals.size - numerical_rank(evals, tol)  # eigh sorts ascending
+    return np.concatenate([np.zeros(dropped), evals[dropped:]]), evecs
 
 
 def frac_power(m, t: float, tol: Tolerance | None = None) -> np.ndarray:
@@ -207,15 +227,13 @@ def null_space(system, tol: Tolerance | None = None) -> tuple[np.ndarray, np.nda
     Only the right singular vectors are needed, so the SVD is taken of the
     triangular factor R of ``system = QR`` (Chan's R-SVD): R has
     ``min(rows, cols)`` rows and the same singular values and right factor,
-    so no rows×rows matrix is formed.  The rank is the number of singular
-    values above ``tol.atol``; a system with no rows has the whole space as
-    its null space.
+    so no rows×rows matrix is formed.  The rank is ``numerical_rank`` of the
+    singular values; a system with no rows has the whole space as its null
+    space.
     """
-    tol = resolve_tol(tol)
     r = np.linalg.qr(np.asarray(system, dtype=np.complex128), mode="r")
     _, svals, vh = np.linalg.svd(r)
-    rank = int(np.sum(svals > tol.atol))
-    return vh[rank:].conj(), svals
+    return vh[numerical_rank(svals, tol):].conj(), svals
 
 
 def min_herm_eig(m) -> float:
@@ -254,13 +272,12 @@ def orthonormal_span(mats, tol: Tolerance | None = None) -> np.ndarray:
     ----------
     mats : sequence of equally-shaped matrices, or a (k, r, c) array
     tol : Tolerance, optional
-        Rank is decided by the singular-value cutoff ``tol.atol``.
+        Rank is ``numerical_rank`` of the singular values.
 
     Returns
     -------
     ndarray of shape (rank, r, c)
     """
-    tol = resolve_tol(tol)
     if isinstance(mats, np.ndarray) and mats.ndim == 3 and mats.shape[0] == 0:
         return mats.astype(np.complex128)
     if not isinstance(mats, np.ndarray) and len(mats) == 0:
@@ -268,8 +285,8 @@ def orthonormal_span(mats, tol: Tolerance | None = None) -> np.ndarray:
     stack = _stack(mats)
     k, r, c = stack.shape
     flat = stack.reshape(k, r * c)
-    u, s, vh = np.linalg.svd(flat, full_matrices=False)
-    rank = int(np.sum(s > tol.atol))
+    _, s, vh = np.linalg.svd(flat, full_matrices=False)
+    rank = numerical_rank(s, tol)
     return vh[:rank].reshape(rank, r, c)
 
 
@@ -319,12 +336,10 @@ def in_span(m, basis: np.ndarray, tol: Tolerance | None = None) -> np.ndarray | 
 def range_projection(m, tol: Tolerance | None = None) -> np.ndarray:
     """Hermitian projection onto the column space of ``m``.
 
-    Columns are kept for singular values above ``tol.atol``.
+    Columns are kept for the ``numerical_rank`` leading singular values.
     """
-    tol = resolve_tol(tol)
-    arr = as_cmatrix(m)
-    u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    keep = u[:, s > tol.atol]
+    u, s, _ = np.linalg.svd(as_cmatrix(m), full_matrices=False)
+    keep = u[:, :numerical_rank(s, tol)]
     return keep @ keep.conj().T
 
 

@@ -20,6 +20,7 @@ from .linalg import (
     Tolerance,
     as_cmatrix,
     frobenius_norm,
+    numerical_rank,
     op_norm,
     orthonormal_span,
     psd_eigh,
@@ -109,7 +110,7 @@ class HilbertModule:
         basis e_r (one hom-basis element in one block), and P keeps their
         span, so the k×k coordinate matrix C[r, s] = <e_s, P e_r> has the
         singular values of the stack of projected columns P e_r.  Its SVD
-        decides the rank at ``tol.atol`` and the leading right singular
+        decides the rank by ``numerical_rank`` and the leading right singular
         vectors, taken over the e_r, are the basis.
         """
         at = self.cat.check_object(at)
@@ -127,7 +128,7 @@ class HilbertModule:
                         if np.any(block):
                             coords[spans[i], spans[j]] = cat.hom_coords(at, x, block @ b_i)
                 _, s, vh = np.linalg.svd(coords)
-                rank = int(np.sum(s > self.tol.atol))
+                rank = numerical_rank(s, self.tol)
                 basis = np.zeros((rank,) + basis.shape[1:], dtype=np.complex128)
                 for j, b_j in enumerate(bases):
                     basis[:, self.slices[j], :] = span_eval(vh[:rank, spans[j]], b_j)
@@ -426,6 +427,8 @@ def unitary_operator_report(T: ModuleOperator, tol: Tolerance | None = None) -> 
     basis e_r of the domain's base at y (one hom-basis element in one
     block).  Since T = T P, these have the singular values of T over the
     evaluation space plus zeros, so no domain evaluation basis is built.
+    Each image has Frobenius norm at most ||T||, which is 1 for an isometry,
+    and ``numerical_rank`` cuts them at ``atol`` on that unit scale.
     """
     tol = resolve_tol(tol if tol is not None else T.dom.tol)
     report = Report(context="unitary-operator")
@@ -435,7 +438,7 @@ def unitary_operator_report(T: ModuleOperator, tol: Tolerance | None = None) -> 
     for y in range(cat.n_objects):
         images = [T.block[:, sl] @ cat.hom_basis(y, x) for x, sl in zip(T.dom.base, T.dom.slices)]
         flat = np.concatenate(images).reshape(-1, T.cod.total_dim * cat.dim(y))
-        rank = np.linalg.matrix_rank(flat, tol=tol.atol) if flat.shape[0] else 0
+        rank = numerical_rank(np.linalg.svd(flat, compute_uv=False), tol)
         deficit = max(deficit, T.cod.eval_dim(y) - rank)
     report.add("surjectivity-deficit", float(deficit), 0.5)
     return report

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, NotInvertible
-from .linalg import (Tolerance, frac_power, op_norm, op_norms, psd_eigh, resolve_tol,
-                     span_eval)
+from .linalg import (Tolerance, frac_power, numerical_rank, op_norm, op_norms, psd_eigh,
+                     resolve_tol, span_eval)
 from .category import (
     CStarCategory,
     MatrixAlgebra,
@@ -75,19 +75,27 @@ class BiHilbertData:
         self._solvers: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
 
     def _solver(self, src: int, dst: int) -> tuple[np.ndarray, int]:
-        """Pseudo-inverse of the flattened action on hom(src, dst)."""
+        """Pseudo-inverse of the flattened action on hom(src, dst), and k = dim hom(src, dst).
+
+        The columns of the flat action are the images of an orthonormal hom
+        basis, each of Frobenius norm at most sqrt(d) under a contractive
+        action, with d the smaller side of the image block.  One SVD of its
+        conjugate decides the rank (``numerical_rank``, an absolute cut at
+        ``atol``) and gives the pseudo-inverse, assembled in the order numpy's
+        ``linalg.pinv`` uses, so the two agree bit for bit.
+        """
         key = (src, dst)
         if key not in self._solvers:
             stack = self.bimodule.mor_stack(src, dst)
             k = stack.shape[0]
             flat = stack.reshape(k, -1).T if k else np.zeros((0, 0))
-            rank = int(np.linalg.matrix_rank(flat, tol=self.tol.atol)) if k else 0
-            if rank != k:
+            u, s, vt = np.linalg.svd(flat.conj(), full_matrices=False)
+            if numerical_rank(s, self.tol) != k:
                 raise NotInvertible(
                     f"action on hom({src},{dst}) is not injective; "
                     "left products are undefined"
                 )
-            self._solvers[key] = (np.linalg.pinv(flat), k)
+            self._solvers[key] = (vt.T @ ((1 / s)[:, None] * u.T), k)
         return self._solvers[key]
 
     def left_product(self, e: ModuleElement, f: ModuleElement) -> Morphism:
@@ -175,7 +183,13 @@ def _fiber_of(E: Bimodule, e: ModuleElement) -> int:
 
 
 def check_full(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool, Report]:
-    """Do the target-valued products span every hom-space of the target?"""
+    """Do the target-valued products span every hom-space of the target?
+
+    The rank at (y, y') is ``numerical_rank`` of the stacked hom coordinates
+    of the products <e, f> = e* f of evaluation basis elements.  Those have
+    unit Frobenius norm, so each row has norm at most 1 and the cut at
+    ``atol`` is absolute on a unit scale.
+    """
     tol = resolve_tol(tol if tol is not None else E.tol)
     dst = E.target
     report = Report(context="fullness")
@@ -195,7 +209,7 @@ def check_full(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool, Report]
                 prods = (cols[yp].conj().T @ cols[y]).reshape(
                     cols[yp].shape[1] // a, a, cols[y].shape[1] // b, b).swapaxes(1, 2)
                 coords.append(dst.hom_coords(y, yp, prods).reshape(-1, target_dim))
-            rank = int(np.linalg.matrix_rank(np.concatenate(coords), tol=tol.atol))
+            rank = numerical_rank(np.linalg.svd(np.concatenate(coords), compute_uv=False), tol)
             deficit = max(deficit, target_dim - rank)
     report.add("product-span-deficit", float(deficit), 0.5)
     return deficit == 0, report
@@ -208,6 +222,11 @@ def check_imprimitivity(E: Bimodule, tol: Tolerance | None = None,
 
     Returns the bi-Hilbert data when the action is faithful and onto the
     compact operators (left products are then defined), else ``None``.
+
+    Both deficits read ``numerical_rank`` of the action images of an
+    orthonormal basis of hom(x, x').  The action is contractive, so each
+    image has Frobenius norm at most sqrt(d), with d the smaller side of the
+    image block; the cut at ``atol`` is absolute, not relative to that scale.
     """
     tol = resolve_tol(tol if tol is not None else E.tol)
     rng = np.random.default_rng(seed)
@@ -220,7 +239,8 @@ def check_imprimitivity(E: Bimodule, tol: Tolerance | None = None,
         for xp in range(src.n_objects):
             stack = E.mor_stack(x, xp)
             k = stack.shape[0]
-            rank = int(np.linalg.matrix_rank(stack.reshape(k, -1), tol=tol.atol)) if k else 0
+            rank = numerical_rank(np.linalg.svd(stack.reshape(k, -1), compute_uv=False),
+                                  tol) if k else 0
             faithful_deficit = max(faithful_deficit, k - rank)
             compacts = bounded_operator_basis(E.ob(x), E.ob(xp), tol)
             onto_deficit = max(onto_deficit, compacts.shape[0] - rank)

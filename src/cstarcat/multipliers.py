@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import Tolerance, null_space, op_norms, resolve_tol, span_eval
+from .linalg import Tolerance, null_space, numerical_rank, op_norms, resolve_tol, span_eval
 from .category import CStarCategory, Morphism
 from .report import Report
 
@@ -133,8 +133,8 @@ def multiplier_space(cat: CStarCategory, x: int, y: int,
                      tol: Tolerance | None = None) -> list[MultiplierMorphism]:
     """Orthonormal basis of the space of multipliers from x to y.
 
-    Solved exactly as the null space (``linalg.null_space``, cutoff
-    ``tol.atol``) of the linear system expressing the two module-map laws and
+    Solved exactly as the null space (``linalg.null_space``, rank by
+    ``numerical_rank``) of the linear system expressing the two module-map laws and
     the compatibility law on hom-space basis elements.
     """
     tol = resolve_tol(tol if tol is not None else cat.tol)
@@ -196,7 +196,14 @@ class MultiplierCategory:
         return m.apply_L(self.cat.unit(m.src))
 
     def verify(self) -> Report:
-        """Unital collapse: κ is a linear bijection onto each multiplier space."""
+        """Unital collapse: κ is a linear bijection onto each multiplier space.
+
+        Injectivity is ``numerical_rank`` of the stacked vectors (L, R) of κ
+        on an orthonormal hom basis.  L and R are coordinate matrices of
+        composition with a morphism of norm at most 1, so each vector has
+        norm at most sqrt(dim hom(x, x) + dim hom(y, y)); the cut at ``atol``
+        is absolute, not relative to that scale.
+        """
         report = Report(context="multiplier-category")
         dim_gap = 0
         inject_gap = 0
@@ -212,8 +219,8 @@ class MultiplierCategory:
                     self.kappa(self.cat.morphism(x, y, b, validate=False)).vec()
                     for b in self.cat.hom_basis(x, y)
                 ])
-                rank = np.linalg.matrix_rank(kappa_vecs, tol=self.tol.atol)
-                inject_gap = max(inject_gap, dxy - int(rank))
+                rank = numerical_rank(np.linalg.svd(kappa_vecs, compute_uv=False), self.tol)
+                inject_gap = max(inject_gap, dxy - rank)
                 if space:
                     null_mat = np.stack([m.vec() for m in space])
                     q, _ = np.linalg.qr(null_mat.T)

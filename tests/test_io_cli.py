@@ -80,6 +80,24 @@ def test_tolerance_env_and_flag(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("env, flags", [
+    ("abc", []),
+    (None, ["--tol-abs", "nan"]),
+    (None, ["--tol-abs", "inf"]),
+    (None, ["--tol-abs", "-1"]),
+    (None, ["--tol-rel", "-1"]),
+], ids=["env-abc", "abs-nan", "abs-inf", "abs-negative", "rel-negative"])
+def test_bad_tolerance_is_input_error(monkeypatch, capsys, env, flags):
+    if env is None:
+        monkeypatch.delenv("CSTARCAT_TOL_ABS", raising=False)
+    else:
+        monkeypatch.setenv("CSTARCAT_TOL_ABS", env)
+    assert main(["verify", str(FIXTURES / "category_block_0.cstar.json"), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "tolerance" in captured.err
+
+
 def test_gen_is_deterministic(tmp_path):
     a = tmp_path / "a.cstar.json"
     b = tmp_path / "b.cstar.json"

@@ -1,5 +1,8 @@
 """Kernel tests: norms, functional calculus, positivity, span arithmetic."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from cstarcat.linalg import (
     herm_eigh,
     in_span,
     null_space,
+    numerical_rank,
     op_norm,
     op_norms,
     orthonormal_span,
@@ -331,3 +335,89 @@ def test_herm_eigh_skips_the_skew_solve_on_hermitian_input(case, solves, monkeyp
     skewed[0, 1] += 1e-3
     with pytest.raises(InvalidInput, match="not Hermitian"):
         herm_eigh(skewed, TOL)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("atol", float("nan")), ("atol", float("inf")), ("atol", -1.0),
+    ("rtol", float("nan")), ("rtol", -1e-8),
+])
+def test_tolerance_rejects_non_finite_or_negative(field, value):
+    with pytest.raises(InvalidInput, match=field):
+        Tolerance(**{field: value})
+
+
+def test_tolerance_accepts_a_zero_cut():
+    assert Tolerance(atol=0.0).atol == 0.0
+
+
+def test_numerical_rank_of_nothing_is_zero():
+    assert numerical_rank([]) == 0
+    assert numerical_rank(np.zeros(0), Tolerance(atol=0.0)) == 0
+
+
+def test_numerical_rank_drops_a_value_at_the_cut():
+    tol = Tolerance(atol=1e-9)
+    assert numerical_rank([1.0, 1e-9], tol) == 1
+    assert numerical_rank([1.0, np.nextafter(1e-9, 1.0)], tol) == 2
+
+
+def test_numerical_rank_drops_a_negative_eigenvalue():
+    evals = np.array([-2e-9, 0.5, 1.0])
+    assert numerical_rank(evals, TOL) == 2
+    assert numerical_rank(np.abs(evals), TOL) == 3
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4), (2, 5), (5, 2)])
+def test_numerical_rank_matches_matrix_rank(rows, cols):
+    rng = np.random.default_rng(10 * rows + cols)
+    for rank in range(min(rows, cols) + 1):
+        m = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
+        ref = np.linalg.matrix_rank(m, tol=TOL.atol)
+        assert numerical_rank(np.linalg.svd(m, compute_uv=False), TOL) == ref == rank
+        # hermitian=True ranks |eigvalsh|; on a PSD operand the signed spectrum agrees
+        psd = m @ m.conj().T
+        ref = np.linalg.matrix_rank(psd, tol=TOL.atol, hermitian=True)
+        assert numerical_rank(np.abs(np.linalg.eigvalsh(psd)), TOL) == ref == rank
+        assert numerical_rank(np.linalg.eigvalsh(psd), TOL) == rank
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cstarcat"
+
+
+def _rank_cuts(source: str, primitive: str | None = None) -> list[tuple[int, str]]:
+    """(line, what) of every ``matrix_rank``/``pinv`` call and every ordering
+    comparison with an ``.atol`` attribute outside the function ``primitive``."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == primitive
+              for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("matrix_rank", "pinv"):
+                found.append((node.lineno, f"{name}("))
+        elif (isinstance(node, ast.Compare)
+              and any(isinstance(op, (ast.Lt, ast.Gt, ast.LtE, ast.GtE)) for op in node.ops)
+              and any(isinstance(side, ast.Attribute) and side.attr == "atol"
+                      for side in (node.left, *node.comparators))):
+            found.append((node.lineno, "comparison with .atol"))
+    return sorted(found)
+
+
+def test_rank_cut_scanner_finds_each_form():
+    sample = ("import numpy as np\n"
+              "r = np.linalg.matrix_rank(a, tol=tol.atol)\n"
+              "p = np.linalg.pinv(a)\n"
+              "k = int(np.sum(s > tol.atol))\n"
+              "z = np.where(evals <= self.tol.atol, 0.0, evals)\n")
+    assert [line for line, _ in _rank_cuts(sample)] == [2, 3, 4, 5]
+
+
+def test_every_rank_cut_goes_through_numerical_rank():
+    found = {path.name: cuts for path in sorted(SRC.glob("*.py"))
+             if (cuts := _rank_cuts(path.read_text(),
+                                    "numerical_rank" if path.name == "linalg.py" else None))}
+    assert found == {}

@@ -115,7 +115,8 @@ def test_norm_equality_on_samples(cat):
         assert left == pytest.approx(right, rel=1e-8)
 
 
-def test_non_faithful_bimodule_fails_certificate():
+def _non_faithful_bimodule():
+    """The functor on span{1, p} that keeps 1 and sends p to 0: not injective."""
     p = np.diag([1.0, 0.0]).astype(complex)
     cat = CStarCategory([("x", 2)], {(0, 0): [np.eye(2), p]})
     basis = cat.hom_basis(0, 0)
@@ -125,7 +126,11 @@ def test_non_faithful_bimodule_fails_certificate():
         a_coef, _ = np.linalg.lstsq(frame, b.ravel(), rcond=None)[0]
         images.append(a_coef * np.eye(2, dtype=complex))
     F = CStarFunctor(cat, cat, [0], {(0, 0): np.stack(images)})
-    E = bimodule_from_functor(F)
+    return bimodule_from_functor(F)
+
+
+def test_non_faithful_bimodule_fails_certificate():
+    E = _non_faithful_bimodule()
     data, report = check_imprimitivity(E)
     assert data is None
     names = {c.name: c for c in report.checks}
@@ -591,6 +596,23 @@ def _imprimitivity_case(case):
     if case == "corner":  # fibers with zero evaluation spaces: zero samples
         return corner_bimodule()
     return mat_equivalence(random_block_category(4, n_objects=2, max_mult=2)[0])[1].bimodule
+
+
+@pytest.mark.parametrize("case", ["yoneda", "twist", "mat_equivalence", "conjugate"])
+def test_solver_pinv_is_numpys_pinv(case):
+    E = _imprimitivity_case(case)
+    data = BiHilbertData(E)
+    for src, dst in itertools.product(range(E.source.n_objects), repeat=2):
+        stack = E.mor_stack(src, dst)
+        pinv, k = data._solver(src, dst)
+        assert k == stack.shape[0]
+        if k:
+            assert np.array_equal(pinv, np.linalg.pinv(stack.reshape(k, -1).T))
+
+
+def test_solver_rejects_a_non_injective_action():
+    with pytest.raises(NotInvertible, match="not injective"):
+        BiHilbertData(_non_faithful_bimodule())._solver(0, 0)
 
 
 def _reference_imprimitivity_samples(data, rng, samples):
