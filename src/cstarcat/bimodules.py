@@ -21,10 +21,9 @@ from .category import (
     Morphism,
     _action_residuals,
     _block_diagonal,
-    _block_view,
+    _blockwise,
     _check_pair_keys,
-    _object_rows,
-    _set_blocks,
+    _layout,
     block_residual,
     list_dim,
 )
@@ -135,26 +134,21 @@ class Bimodule:
         """
         src, dst_list, src_list = self.source, tuple(dst_list), tuple(src_list)
         arr = as_cmatrix(block, list_dim(src, dst_list), list_dim(src, src_list))
-        out = np.zeros((sum(self.ob_map[y].total_dim for y in dst_list),
-                        sum(self.ob_map[x].total_dim for x in src_list)), dtype=np.complex128)
+        out = np.zeros((self._fiber_layout(dst_list).dim, self._fiber_layout(src_list).dim),
+                       dtype=np.complex128)
         self._extend_into(out, src_list, dst_list, arr)
         return out
 
+    def _fiber_layout(self, lst):
+        """Layout of the direct sum of the fibers over an object list."""
+        return _layout(self.source, lst, [self.ob_map[x].total_dim for x in lst])
+
     def _extend_into(self, out: np.ndarray, src_list: tuple, dst_list: tuple,
                      arr: np.ndarray) -> None:
-        """``hull_extend`` written into ``out``, which must be zero: one
-        action per pair of distinct objects on all of its blocks at once, and
-        none for a pair whose blocks are all zero, since their image is zero."""
+        """``hull_extend`` written into ``out``, which must be zero (``_blockwise``)."""
         src = self.source
-        rows_out = _object_rows(src, dst_list, [self.ob_map[y].total_dim for y in dst_list])
-        cols_in = _object_rows(src, src_list, [self.ob_map[x].total_dim for x in src_list])
-        cols = _object_rows(src, src_list)
-        for y, r in _object_rows(src, dst_list).items():
-            for x, c in cols.items():
-                if src.hom_dim(x, y):
-                    blocks = _block_view(arr, r, c)
-                    if blocks.any():
-                        _set_blocks(out, rows_out[y], cols_in[x], self._act(x, y, blocks))
+        _blockwise(src, self._act, arr, out, _layout(src, src_list), _layout(src, dst_list),
+                   self._fiber_layout(src_list), self._fiber_layout(dst_list))
 
     def __repr__(self) -> str:
         return f"Bimodule({self.source!r} -> Hilb[{self.target!r}])"

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ClosureViolation, CompositionMismatch, InvalidInput, NotInvertible
 from .linalg import (
     Tolerance,
+    _size_slices,
     as_cmatrix,
     block_eigvalsh,
     frac_power,
@@ -95,7 +96,7 @@ class CStarCategory:
     def __init__(self, objects, homs, tol=None, assume_orthonormal=False):
         tol = resolve_tol(tol)
         self.tol = tol
-        self._row_plans: dict[tuple, dict[int, _Rows]] = {}  # see _object_rows
+        self._layouts: dict[tuple, _Layout] = {}  # see _layout
         self._labels: list[str] = []
         self._dims: list[int] = []
         for label, dim in objects:
@@ -513,20 +514,13 @@ def verify_functor(F: CStarFunctor, tol: Tolerance | None = None,
 
 
 def list_dim(cat: CStarCategory, lst) -> int:
-    return int(sum(cat.dim(x) for x in lst))
-
-
-def _size_slices(sizes) -> list[slice]:
-    """Consecutive slices of the given sizes, starting at 0."""
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    return [slice(int(offs[i]), int(offs[i + 1])) for i in range(len(offs) - 1)]
+    return _layout(cat, lst).dim
 
 
 def _block_diagonal(blocks) -> np.ndarray:
     """Block-diagonal matrix of (possibly rectangular) blocks."""
     blocks = list(blocks)
-    rows = _size_slices([b.shape[0] for b in blocks])
-    cols = _size_slices([b.shape[1] for b in blocks])
+    rows, cols = (_size_slices([b.shape[k] for b in blocks]) for k in (0, 1))
     out = np.zeros((rows[-1].stop, cols[-1].stop), dtype=np.complex128)
     for r, c, b in zip(rows, cols, blocks):
         out[r, c] = b
@@ -534,7 +528,7 @@ def _block_diagonal(blocks) -> np.ndarray:
 
 
 def block_slices(cat: CStarCategory, lst) -> list[slice]:
-    return _size_slices([cat.dim(x) for x in lst])
+    return list(_layout(cat, lst).slices)
 
 
 class _Rows(NamedTuple):
@@ -545,29 +539,37 @@ class _Rows(NamedTuple):
     run: slice | None
 
 
-def _object_rows(cat: CStarCategory, lst, sizes=None) -> dict[int, _Rows]:
-    """Row plan of the blocks of each object of a list.
+class _Layout(NamedTuple):
+    """Where the blocks of an object list sit: the total size, the slice of
+    each entry, and per object the rows of its blocks."""
 
-    Object x maps to the rows of its n occurrences in ``lst``, in order;
-    blocks have size ``cat.dim(x)``, or ``sizes[i]`` for the i-th entry when
+    dim: int
+    slices: tuple[slice, ...]
+    plan: dict[int, _Rows]
+
+
+def _layout(cat: CStarCategory, lst, sizes=None) -> _Layout:
+    """Block layout of an object list, every entry checked by ``check_object``.
+
+    Blocks have size ``cat.dim(x)``, or ``sizes[i]`` for the i-th entry when
     given (the size must depend only on the object).  ``_block_view`` and
     ``_set_blocks`` read and write the (n_r, n_c, size_r, size_c) stack of
-    blocks at two such plans.  The plan is built once per (list, sizes) and
-    kept on the category, so its arrays are shared and read-only.
+    blocks at two objects' rows.  The layout is built once per (list, sizes)
+    and kept on the category, so it is shared and read-only.
     """
     key = (tuple(lst), None if sizes is None else tuple(sizes))
-    if key not in cat._row_plans:
-        runs: dict[int, list[slice]] = {}
-        for x, sl in zip(lst, _size_slices([cat.dim(x) for x in lst] if sizes is None else sizes)):
-            runs.setdefault(x, []).append(sl)
+    if key not in cat._layouts:
+        dims = [cat.dim(cat.check_object(x)) for x in key[0]]
+        slices = _size_slices(dims if sizes is None else sizes)
         plan = {}
-        for x, sls in runs.items():
+        for x in dict.fromkeys(key[0]):
+            sls = [sl for v, sl in zip(key[0], slices) if v == x]
             idx = np.array([range(sl.start, sl.stop) for sl in sls], dtype=np.intp)
             idx.flags.writeable = False
             follow = all(a.stop == b.start for a, b in zip(sls, sls[1:]))
             plan[x] = _Rows(idx, slice(sls[0].start, sls[-1].stop) if follow else None)
-        cat._row_plans[key] = plan
-    return cat._row_plans[key]
+        cat._layouts[key] = _Layout(slices[-1].stop if slices else 0, tuple(slices), plan)
+    return cat._layouts[key]
 
 
 def _block_view(arr: np.ndarray, r: _Rows, c: _Rows) -> np.ndarray:
@@ -589,25 +591,32 @@ def _set_blocks(out: np.ndarray, r: _Rows, c: _Rows, values) -> None:
         _block_view(out, r, c)[...] = values
 
 
+def _blockwise(cat: CStarCategory, act, arr: np.ndarray, out: np.ndarray, cols: _Layout,
+               rows: _Layout, cols_out: _Layout, rows_out: _Layout) -> None:
+    """Write ``act(x, y, blocks)`` of each object pair's stack of blocks of
+    ``arr`` (laid out by ``rows`` × ``cols``) into the zero ``out`` (by
+    ``rows_out`` × ``cols_out``), skipping a pair whose image is zero."""
+    for y, r in rows.plan.items():
+        for x, c in cols.plan.items():
+            if cat.hom_dim(x, y):
+                blocks = _block_view(arr, r, c)
+                if blocks.any():
+                    _set_blocks(out, rows_out.plan[y], cols_out.plan[x], act(x, y, blocks))
+
+
 def block_project(cat: CStarCategory, src_lst, dst_lst, mat) -> np.ndarray:
     """Blockwise orthogonal projection onto the hull hom-space of one block
     matrix or a (..., rows, cols) stack, one ``hom_project`` per pair of
     distinct objects; a pair whose blocks are all zero is left at zero."""
     arr = np.asarray(mat, dtype=np.complex128)
-    shape = (list_dim(cat, dst_lst), list_dim(cat, src_lst))
+    rows, cols = _layout(cat, dst_lst), _layout(cat, src_lst)
     if arr.ndim == 2:
-        arr = as_cmatrix(arr, *shape)
-    elif arr.shape[-2:] != shape or not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"expected a finite stack of {shape} block matrices, "
+        arr = as_cmatrix(arr, rows.dim, cols.dim)
+    elif arr.shape[-2:] != (rows.dim, cols.dim) or not np.all(np.isfinite(arr)):
+        raise InvalidInput(f"expected a finite stack of {(rows.dim, cols.dim)} block matrices, "
                            f"got shape {arr.shape}")
     out = np.zeros_like(arr)
-    cols = _object_rows(cat, src_lst)
-    for y, r in _object_rows(cat, dst_lst).items():
-        for x, c in cols.items():
-            if cat.hom_dim(x, y):
-                blocks = _block_view(arr, r, c)
-                if blocks.any():
-                    _set_blocks(out, r, c, cat.hom_project(x, y, blocks))
+    _blockwise(cat, cat.hom_project, arr, out, cols, rows, cols, rows)
     return out
 
 
@@ -643,30 +652,26 @@ def _projection_report(cat: CStarCategory, base, proj: np.ndarray, tol: Toleranc
 
 
 def block_basis_stack(cat: CStarCategory, src_lst, dst_lst) -> np.ndarray:
-    """Orthonormal basis of the block hom-space as embedded full matrices."""
-    D_dst, D_src = list_dim(cat, dst_lst), list_dim(cat, src_lst)
-    rows = block_slices(cat, dst_lst)
-    cols = block_slices(cat, src_lst)
-    mats = []
-    for j, y in enumerate(dst_lst):
-        for i, x in enumerate(src_lst):
-            for b in cat.hom_basis(x, y):
-                mat = np.zeros((D_dst, D_src), dtype=np.complex128)
-                mat[rows[j], cols[i]] = b
-                mats.append(mat)
-    if not mats:
-        return np.zeros((0, D_dst, D_src), dtype=np.complex128)
-    return np.stack(mats)
+    """Orthonormal basis of the block hom-space as embedded full matrices,
+    ordered by target entry, then source entry, then hom-basis element."""
+    rows, cols = _layout(cat, dst_lst), _layout(cat, src_lst)
+    pairs = [(r, c, cat.hom_basis(x, y)) for y, r in zip(dst_lst, rows.slices)
+             for x, c in zip(src_lst, cols.slices)]
+    out = np.zeros((sum(len(b) for *_, b in pairs), rows.dim, cols.dim), dtype=np.complex128)
+    n = 0
+    for r, c, basis in pairs:
+        out[n:n + len(basis), r, c] = basis
+        n += len(basis)
+    return out
 
 
 def random_block(rng: np.random.Generator, cat: CStarCategory, src_lst, dst_lst) -> np.ndarray:
     """Random element of the block hom-space (blockwise basis combinations)."""
-    arr = np.zeros((list_dim(cat, dst_lst), list_dim(cat, src_lst)), dtype=np.complex128)
-    rows = block_slices(cat, dst_lst)
-    cols = block_slices(cat, src_lst)
-    for j, y in enumerate(dst_lst):
-        for i, x in enumerate(src_lst):
-            arr[rows[j], cols[i]] = cat.random_morphism(rng, x, y).mat
+    rows, cols = _layout(cat, dst_lst), _layout(cat, src_lst)
+    arr = np.zeros((rows.dim, cols.dim), dtype=np.complex128)
+    for y, r in zip(dst_lst, rows.slices):
+        for x, c in zip(src_lst, cols.slices):
+            arr[r, c] = cat.random_morphism(rng, x, y).mat
     return arr
 
 
@@ -693,14 +698,10 @@ class AdditiveHull:
             raise InvalidInput("hull object lists must be non-empty")
         self._index = {lst: i for i, lst in enumerate(self.lists)}
 
-        objects = []
-        for lst in self.lists:
-            label = "(" + "+".join(base.label(x) for x in lst) + ")"
-            objects.append((label, list_dim(base, lst)))
-        homs = {}
-        for i, src in enumerate(self.lists):
-            for j, dst in enumerate(self.lists):
-                homs[(i, j)] = block_basis_stack(base, src, dst)
+        objects = [("(" + "+".join(base.label(x) for x in lst) + ")", list_dim(base, lst))
+                   for lst in self.lists]
+        homs = {(i, j): block_basis_stack(base, src, dst)
+                for i, src in enumerate(self.lists) for j, dst in enumerate(self.lists)}
         self.cat = CStarCategory(objects, homs, tol=tol, assume_orthonormal=True)
 
         if all((x,) in self._index for x in range(base.n_objects)):
@@ -794,17 +795,13 @@ class MatrixAlgebra:
         self.full_list = tuple(range(base.n_objects))
         stack = block_basis_stack(base, self.full_list, self.full_list)
         label = "Mat(" + "+".join(base.label(x) for x in self.full_list) + ")"
-        self.cat = CStarCategory(
-            [(label, list_dim(base, self.full_list))],
-            {(0, 0): stack},
-            tol=tol,
-            assume_orthonormal=True,
-        )
-        self._slices = block_slices(base, self.full_list)
+        self._slices = _layout(base, self.full_list).slices
+        self.cat = CStarCategory([(label, list_dim(base, self.full_list))], {(0, 0): stack},
+                                 tol=tol, assume_orthonormal=True)
 
     def position(self, x: int, y: int) -> tuple[slice, slice]:
         """(row, column) block of hom(x, y) inside the algebra."""
-        return self._slices[y], self._slices[x]
+        return self._slices[self.base.check_object(y)], self._slices[self.base.check_object(x)]
 
     def embed(self, m: Morphism) -> Morphism:
         if m.cat is not self.base:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import Tolerance, random_complex, resolve_tol
-from .category import CStarCategory, CStarFunctor, _size_slices, random_block
+from .linalg import Tolerance, _size_slices, random_complex, resolve_tol
+from .category import CStarCategory, CStarFunctor, random_block
 
 __all__ = [
     "FiniteGroupoid",
@@ -234,10 +234,8 @@ def random_block_category(seed: int, n_objects: int = 3, n_sectors: int = 2,
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         unitaries.append(q)
 
-    offsets = [
-        _size_slices([mults[x, s] * sector_dims[s] for s in range(n_sectors)])
-        for x in range(n_objects)
-    ]
+    offsets = [_size_slices([mults[x, s] * sector_dims[s] for s in range(n_sectors)])
+               for x in range(n_objects)]
 
     homs: dict[tuple[int, int], list[np.ndarray]] = {}
     for x in range(n_objects):
@@ -334,6 +332,8 @@ def random_module(seed: int, cat: CStarCategory, max_base: int = 3):
     a random symmetrized block endomorphism of that list."""
     from .modules import HilbertModule
 
+    if max_base <= 0:
+        raise InvalidInput(f"max_base must be positive, got {max_base}")
     rng = np.random.default_rng(seed)
     length = int(rng.integers(1, max_base + 1))
     base = tuple(int(x) for x in rng.integers(0, cat.n_objects, length))

@@ -124,6 +124,13 @@ def op_norm(m) -> float:
     return float(op_norms(as_cmatrix(m)))
 
 
+def _size_slices(sizes) -> list[slice]:
+    """Consecutive slices of the given sizes, starting at 0: the engine's one
+    computation of block offsets."""
+    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    return [slice(int(offs[i]), int(offs[i + 1])) for i in range(len(offs) - 1)]
+
+
 def block_eigvalsh(h, sizes) -> np.ndarray:
     """Ascending spectrum of a Hermitian matrix with diagonal blocks of ``sizes``.
 
@@ -132,16 +139,16 @@ def block_eigvalsh(h, sizes) -> np.ndarray:
     form keeps the spectrum, so this is exact.
     """
     arr = np.asarray(h)
-    offs = np.cumsum([0, *sizes])
-    starts = offs[:-1][np.diff(offs) > 0]  # empty blocks own no rows
-    if len(starts) > 1:
+    blocks = [sl for sl in _size_slices(sizes) if sl.stop > sl.start]  # empty blocks own no rows
+    if len(blocks) > 1:
+        starts = [sl.start for sl in blocks]
         reach = np.logical_or.reduceat(np.logical_or.reduceat(arr != 0, starts, 0), starts, 1)
         reach |= reach.T | np.eye(len(starts), dtype=bool)
         while not np.array_equal(reach, wider := reach @ reach):
             reach = wider
         first = reach.argmax(axis=1)  # the first block of each block's group
         if first.any():
-            group = np.repeat(first, np.diff(np.append(starts, offs[-1])))  # per row
+            group = np.repeat(first, [sl.stop - sl.start for sl in blocks])  # per row
             return np.sort(np.concatenate([np.linalg.eigvalsh(arr[np.ix_(group == g, group == g)])
                                            for g in set(first.tolist())]))
     return np.linalg.eigvalsh(arr)

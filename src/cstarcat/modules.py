@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InvalidInput
 from .linalg import (
     Tolerance,
+    _size_slices,
     as_cmatrix,
     frobenius_norm,
     numerical_rank,
@@ -31,10 +32,9 @@ from .category import (
     CStarCategory,
     Morphism,
     _block_diagonal,
+    _layout,
     _projection_report,
-    _size_slices,
     block_residual,
-    block_slices,
     block_basis_stack,
     list_dim,
     random_block,
@@ -71,11 +71,11 @@ class HilbertModule:
     def __init__(self, cat: CStarCategory, base, proj, tol: Tolerance | None = None,
                  validate: bool = True):
         self.cat = cat
-        self.base: tuple[int, ...] = tuple(cat.check_object(int(x)) for x in base)
+        self.base: tuple[int, ...] = tuple(int(x) for x in base)
         if not self.base:
             raise InvalidInput("module base list must be non-empty")
-        self.total_dim = list_dim(cat, self.base)
-        self.slices = block_slices(cat, self.base)
+        layout = _layout(cat, self.base)
+        self.total_dim, self.slices = layout.dim, layout.slices
         self.proj = as_cmatrix(proj, self.total_dim, self.total_dim)
         self.tol = resolve_tol(tol if tol is not None else cat.tol)
         if validate:
@@ -117,8 +117,8 @@ class HilbertModule:
         if at not in self._eval_cache:
             cat = self.cat
             bases = [cat.hom_basis(at, x) for x in self.base]
-            spans = _size_slices([b.shape[0] for b in bases])
-            k = spans[-1].stop
+            coord_layout = _layout(cat, self.base, [b.shape[0] for b in bases])
+            spans, k = coord_layout.slices, coord_layout.dim
             basis = np.zeros((0, self.total_dim, cat.dim(at)), dtype=np.complex128)
             if k:
                 coords = np.zeros((k, k), dtype=np.complex128)
@@ -468,20 +468,21 @@ class ListElement:
                 raise InvalidInput("wide column is not projection-invariant")
 
     def component(self, j: int) -> ModuleElement:
-        cols = block_slices(self.module.cat, self.at_list)[j]
+        if not 0 <= j < len(self.at_list):
+            raise InvalidInput(f"component index {j} out of range")
+        cols = _layout(self.module.cat, self.at_list).slices[j]
         return ModuleElement(self.module, self.at_list[j], self.col[:, cols], validate=False)
 
 
 def list_eval_basis(module: HilbertModule, at_list) -> list[ListElement]:
     """Componentwise basis of the evaluation at a list (product of evaluations)."""
     at_list = tuple(at_list)
-    cols = block_slices(module.cat, at_list)
-    width = list_dim(module.cat, at_list)
+    layout = _layout(module.cat, at_list)
     out = []
-    for j, y in enumerate(at_list):
+    for y, cols in zip(at_list, layout.slices):
         for e in module.eval_basis(y):
-            wide = np.zeros((module.total_dim, width), dtype=np.complex128)
-            wide[:, cols[j]] = e.col
+            wide = np.zeros((module.total_dim, layout.dim), dtype=np.complex128)
+            wide[:, cols] = e.col
             out.append(ListElement(module, at_list, wide, validate=False))
     return out
 

@@ -20,7 +20,7 @@ from .category import (
     CStarCategory,
     MatrixAlgebra,
     Morphism,
-    _object_rows,
+    _layout,
     _set_blocks,
     list_dim,
     matrix_algebra,
@@ -118,11 +118,11 @@ class BiHilbertData:
         xps = [_fiber_of(E, f) for f in fs]
         if len({el.at for el in (*es, *fs)}) > 1:
             raise InvalidInput("left products need elements at one target object")
-        out = np.zeros((list_dim(src, xs), list_dim(src, xps)), dtype=np.complex128)
-        cols = _object_rows(src, xps)
-        for x, r in _object_rows(src, xs).items():
+        rows, cols = _layout(src, xs), _layout(src, xps)
+        out = np.zeros((rows.dim, cols.dim), dtype=np.complex128)
+        for x, r in rows.plan.items():
             e_cols = np.stack([e.col for e, xa in zip(es, xs) if xa == x])
-            for xp, c in cols.items():
+            for xp, c in cols.plan.items():
                 f_cols = np.stack([f.col for f, xb in zip(fs, xps) if xb == xp])
                 mats, _ = self._products(x, xp, e_cols[:, None], f_cols[None])
                 _set_blocks(out, r, c, mats)
@@ -368,30 +368,30 @@ class ConjugateBimodule:
                 for i in range(len(basis)):
                     lam = np.zeros(stack.shape[1:], dtype=np.complex128)
                     for r_p, r, eye, coeffs in lams:
-                        lam[r_p[:, None], r[None, :]] = np.kron(coeffs[:, i], eye)
+                        _set_blocks(lam, r_p, r, coeffs[:, i, :, None, None] * eye)
                     stack[i] = left @ (s_p_adj @ lam @ s) @ right
                 mor_blocks[(y, yp)] = stack
         self.bimodule = Bimodule(dst, src, ob_map, mor_blocks, tol=self.tol, validate=False)
 
-    def _fibers(self, y: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    def _fibers(self, y: int) -> dict[int, tuple]:
         """Per fiber x holding generators at y: the presentation rows of
         their blocks and their columns, stacked."""
         if not self.gens[y]:
             return {}
-        rows = _object_rows(self.original.bimodule.source, self.gen_objects[y])
+        rows = _layout(self.original.bimodule.source, self.gen_objects[y]).plan
         pairs = list(zip(self.gens[y], self.gen_objects[y]))
-        return {x: (r.idx.ravel(), np.stack([e.col for e, xa in pairs if xa == x]))
-                for x, r in rows.items()}
+        return {x: (r, np.stack([e.col for e, xa in pairs if xa == x])) for x, r in rows.items()}
 
     def element_of(self, f: ModuleElement) -> ModuleElement:
         """Presentation column of the conjugate of an original element."""
-        x, y = _fiber_of(self.original.bimodule, f), f.at
-        d = self.original.bimodule.source.dim(x)
+        src, x, y = self.original.bimodule.source, _fiber_of(self.original.bimodule, f), f.at
+        d = src.dim(x)
         pattern = np.zeros((self.bimodule.ob(y).total_dim, d), dtype=np.complex128)
         fibers = self._fibers(y)
         if x in fibers:
             rows, gens = fibers[x]
-            pattern[rows] = np.kron(_conjugated_coefficients(gens, f.col[None]), np.eye(d))
+            coeffs = _conjugated_coefficients(gens, f.col[None])[:, :, None, None]
+            _set_blocks(pattern, rows, _layout(src, (x,)).plan[x], coeffs * np.eye(d))
         return ModuleElement(self.bimodule.ob(y), x, self.sqrt[y] @ pattern, validate=False)
 
     def element_to(self, c: ModuleElement) -> ModuleElement:

@@ -20,7 +20,7 @@ from cstarcat.bimodules import (
     verify_bimodule,
     yoneda_bimodule,
 )
-from cstarcat.category import CStarCategory, Morphism, _size_slices, block_slices, random_block
+from cstarcat.category import CStarCategory, Morphism, _layout, block_slices, random_block
 from cstarcat.generators import (
     bimodule_from_functor,
     degenerate_double,
@@ -373,8 +373,8 @@ def test_quotient_oracle_matches_pairwise_reference(kind, case):
 def _reference_hull_extend(E, src_list, dst_list, block):
     """The action applied one block at a time."""
     rows, cols = block_slices(E.source, dst_list), block_slices(E.source, src_list)
-    rows_out = _size_slices([E.ob(y).total_dim for y in dst_list])
-    cols_in = _size_slices([E.ob(x).total_dim for x in src_list])
+    rows_out = _layout(E.source, dst_list, [E.ob(y).total_dim for y in dst_list]).slices
+    cols_in = _layout(E.source, src_list, [E.ob(x).total_dim for x in src_list]).slices
     out = np.zeros((rows_out[-1].stop, cols_in[-1].stop), dtype=np.complex128)
     for j, y in enumerate(dst_list):
         for i, x in enumerate(src_list):
@@ -384,15 +384,19 @@ def _reference_hull_extend(E, src_list, dst_list, block):
     return out
 
 
-@pytest.mark.parametrize("kind", ["yoneda", "twist", "conjugate"])
+@pytest.mark.parametrize("kind", ["yoneda", "twist", "conjugate", "yoneda-empty-homs"])
 @pytest.mark.parametrize("src_list, dst_list", [((0, 1, 0), (1, 0, 1, 1)), ((1,), (0, 1, 0)),
                                                 ((0, 0, 1), (1, 1)), ((1, 1), (0, 0, 1))])
 def test_hull_extend_matches_per_pair_action(kind, src_list, dst_list):
     from cstarcat.morita import check_imprimitivity, conjugate_bimodule
 
-    base, _ = random_block_category(3, n_objects=2, max_mult=2)
+    # seed 9 has hom(0, 1) = hom(1, 0) = 0: the action skips those pairs
+    base, _ = random_block_category(9 if kind == "yoneda-empty-homs" else 3, n_objects=2,
+                                    max_mult=2)
+    assert (base.hom_dim(0, 1) == 0) == (kind == "yoneda-empty-homs")
     E = {
         "yoneda": lambda: yoneda_bimodule(base),
+        "yoneda-empty-homs": lambda: yoneda_bimodule(base),
         "twist": lambda: bimodule_from_functor(unitary_twist_functor(base, seed=11)),
         "conjugate": lambda: conjugate_bimodule(
             check_imprimitivity(yoneda_bimodule(base))[0]).bimodule,
@@ -411,11 +415,23 @@ def test_hull_extend_matches_per_pair_action(kind, src_list, dst_list):
         ref = _reference_hull_extend(E, src_list, dst_list, block)
         got = E.hull_extend(src_list, dst_list, block)
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
-    out_rows = _size_slices([E.ob(y).total_dim for y in dst_list])
-    out_cols = _size_slices([E.ob(x).total_dim for x in src_list])
+    out_rows = _layout(src, dst_list, [E.ob(y).total_dim for y in dst_list]).slices
+    out_cols = _layout(src, src_list, [E.ob(x).total_dim for x in src_list]).slices
     for j, i in itertools.product(range(len(dst_list)), range(len(src_list))):
         if dst_list[j] == src_list[i] == 1:
             assert not got[out_rows[j], out_cols[i]].any()
+
+
+@pytest.mark.parametrize("bad", [2, 5, -1])
+def test_hull_extend_rejects_bad_object_indices(bad):
+    from cstarcat.errors import InvalidInput
+
+    base, _ = random_block_category(3, n_objects=2)
+    E = yoneda_bimodule(base)
+    for src_list, dst_list in (((bad,), (0,)), ((0,), (1, bad))):
+        block = np.zeros((sum(base.dim(y) for y in dst_list if 0 <= y < 2), 1))
+        with pytest.raises(InvalidInput):
+            E.hull_extend(src_list, dst_list, block)
 
 
 def _reference_span_rank_deficit(E, tol):

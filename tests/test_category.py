@@ -7,17 +7,22 @@ from cstarcat.category import (
     CStarCategory,
     CStarFunctor,
     _block_view,
-    _object_rows,
+    _layout,
     _set_blocks,
+    block_basis_stack,
     block_project,
     block_residual,
     block_slices,
     cofactorize,
+    column_sup_norm,
     compose,
     factorize,
     identity_functor,
     involute,
+    list_dim,
+    matrix_algebra,
     polar_unitary,
+    random_block,
     verify_category,
     verify_functor,
 )
@@ -274,6 +279,7 @@ def _zero_object_pair(cat, src_lst, dst_lst, mat, x, y):
     ((1, 2, 1), (0,)),
     ((0, 0, 1), (1, 1)),
     ((1, 1), (0, 0, 1)),
+    ((2, 0, 2, 1), (0, 1, 0)),  # hom(0, 1) and hom(1, 0) are empty at seed 3
 ])
 def test_block_project_matches_per_block_loop(seed, src_lst, dst_lst):
     cat, _ = random_block_category(seed, n_objects=3)
@@ -321,7 +327,7 @@ def test_block_view_matches_fancy_index(lst, lead):
     rng = np.random.default_rng(len(lst))
     shape = lead + (sum(cat.dim(y) for y in lst), sum(cat.dim(x) for x in other))
     arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    rows, cols = _object_rows(cat, lst), _object_rows(cat, other)
+    rows, cols = _layout(cat, lst).plan, _layout(cat, other).plan
     at = {x: [i for i, v in enumerate(lst) if v == x] for x in set(lst)}
     assert {x for x, r in rows.items() if r.run is None} == {
         x for x, pos in at.items() if pos != list(range(pos[0], pos[0] + len(pos)))}
@@ -335,6 +341,68 @@ def test_block_view_matches_fancy_index(lst, lead):
             _set_blocks(out, r, c, arr[fancy])
             ref[fancy] = arr[fancy]
             assert np.array_equal(out, ref)
+
+
+def _entry_offsets(cat, lst):
+    """Row offsets of the entries of an object list, summed one by one."""
+    offs = [0]
+    for x in lst:
+        offs.append(offs[-1] + cat.dim(x))
+    return [slice(a, b) for a, b in zip(offs, offs[1:])]
+
+
+@pytest.mark.parametrize("src_lst, dst_lst", [
+    ((0, 1, 0), (2, 0, 2, 1)),
+    ((2, 0, 2, 1), (0, 1, 0)),
+    ((1,), (0, 0)),  # every hom-space empty
+])
+def test_block_basis_stack_and_random_block_keep_the_entry_order(src_lst, dst_lst):
+    """The hull basis order reaches serialized output and the draw order of
+    ``random_block`` every seeded input: both go entry by entry, target
+    entry outermost, against references that build one block at a time."""
+    cat, _ = random_block_category(3, n_objects=3)
+    assert any(cat.hom_dim(x, y) == 0 for y in dst_lst for x in src_lst)
+    rows, cols = _entry_offsets(cat, dst_lst), _entry_offsets(cat, src_lst)
+    shape = (rows[-1].stop, cols[-1].stop)
+    mats = []
+    for r, y in zip(rows, dst_lst):
+        for c, x in zip(cols, src_lst):
+            for b in cat.hom_basis(x, y):
+                mats.append(np.zeros(shape, dtype=np.complex128))
+                mats[-1][r, c] = b
+    ref = np.stack(mats) if mats else np.zeros((0,) + shape, dtype=np.complex128)
+    assert np.array_equal(block_basis_stack(cat, src_lst, dst_lst), ref)
+
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    ref = np.zeros(shape, dtype=np.complex128)
+    for r, y in zip(rows, dst_lst):
+        for c, x in zip(cols, src_lst):
+            ref[r, c] = cat.random_morphism(ref_rng, x, y).mat
+    assert np.array_equal(random_block(rng, cat, src_lst, dst_lst), ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [2, 5, -1])
+def test_block_helpers_reject_bad_object_indices(bad):
+    """An object index out of range, or negative, is ``InvalidInput`` in
+    every block helper, never a bare ``IndexError`` or a wrapped lookup."""
+    cat, _ = random_block_category(3, n_objects=2)
+    assert [cat.dim(x) for x in range(2)] == [1, 2]
+    one = np.zeros((1, 1))
+    calls = [
+        lambda: list_dim(cat, (bad,)),
+        lambda: block_slices(cat, (0, bad)),
+        lambda: block_project(cat, (bad,), (0,), one),
+        lambda: block_project(cat, (0,), (bad,), one),
+        lambda: block_basis_stack(cat, (bad,), (0,)),
+        lambda: random_block(np.random.default_rng(0), cat, (0,), (bad, 1)),
+        lambda: column_sup_norm(cat, (bad,), one),
+        lambda: matrix_algebra(cat).position(bad, 0),
+        lambda: matrix_algebra(cat).position(0, bad),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInput):
+            call()
 
 
 def _reference_closure(cat):

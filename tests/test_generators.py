@@ -108,6 +108,13 @@ def test_generation_is_deterministic():
         dumps_canonical(specfile_for(mb).to_obj())
 
 
+@pytest.mark.parametrize("max_base", [0, -2])
+def test_random_module_rejects_a_non_positive_max_base(max_base):
+    cat, _ = random_block_category(3, n_objects=2)
+    with pytest.raises(InvalidInput, match="max_base"):
+        random_module(0, cat, max_base=max_base)
+
+
 def test_random_module_invariants():
     for seed in range(8):
         cat, _ = random_block_category(seed)

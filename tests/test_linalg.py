@@ -421,3 +421,71 @@ def test_every_rank_cut_goes_through_numerical_rank():
              if (cuts := _rank_cuts(path.read_text(),
                                     "numerical_rank" if path.name == "linalg.py" else None))}
     assert found == {}
+
+
+def _offset_sites(source: str, primitive: str | None = None) -> list[tuple[int, str]]:
+    """(line, what) of every ``cumsum`` or ``kron`` call outside the function
+    ``primitive``, and of every use of the retired row-plan names."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == primitive
+              for node in ast.walk(fn)}
+    retired = ("_object_rows", "_row_plans")
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if called in ("cumsum", "kron"):
+                found.append((node.lineno, f"{called}("))
+        elif isinstance(node, (ast.Name, ast.Attribute, ast.FunctionDef, ast.alias)) \
+                and name in retired:
+            found.append((getattr(node, "lineno", 0), name))
+    return sorted(found)
+
+
+def _block_readers(source: str) -> set[str]:
+    """Names of the functions that call ``_block_view``."""
+    return {fn.name for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_block_view"}
+
+
+def test_offset_scanner_finds_each_form():
+    sample = ("import numpy as np\n"
+              "from numpy import cumsum\n"
+              "offs = np.cumsum(sizes)\n"
+              "offs = sizes.cumsum()\n"
+              "offs = cumsum(sizes)\n"
+              "from .category import _object_rows\n"
+              "def _object_rows(cat, lst):\n"
+              "    return cat._row_plans[lst]\n"
+              "pattern = np.kron(coeffs, eye)\n"
+              "def _size_slices(sizes):\n"
+              "    return np.cumsum(sizes)\n")
+    assert [line for line, _ in _offset_sites(sample, "_size_slices")] == [3, 4, 5, 6, 7, 8, 9]
+    assert [line for line, _ in _offset_sites(sample)][-1] == 11
+    loops = ("def block_project(cat, arr):\n"
+             "    return _block_view(arr, r, c)\n"
+             "class Bimodule:\n"
+             "    def _extend_into(self, arr):\n"
+             "        blocks = _block_view(arr, r, c)\n")
+    assert _block_readers(loops) == {"block_project", "_extend_into"}
+
+
+def test_block_offsets_come_from_one_function():
+    """Block offsets are computed by ``linalg._size_slices`` alone; object
+    lists read theirs from the category's cached layout."""
+    found = {path.name: sites for path in sorted(SRC.glob("*.py"))
+             if (sites := _offset_sites(path.read_text(),
+                                        "_size_slices" if path.name == "linalg.py" else None))}
+    assert found == {}
+
+
+def test_block_stacks_are_read_in_one_loop():
+    """``block_project`` and the bimodule extension share ``_blockwise``: it
+    is the one reader of block stacks besides the writer ``_set_blocks``."""
+    readers = set().union(*(_block_readers(path.read_text()) for path in SRC.glob("*.py")))
+    assert readers == {"_blockwise", "_set_blocks"}

@@ -267,6 +267,22 @@ def test_list_single_rank_decomposes(cat, rng):
     assert op_norm(theta.block - summed) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [2, 5, -1])
+def test_list_evaluation_rejects_bad_indices(bad):
+    """An object or component index out of range, or negative, is
+    ``InvalidInput``: no bare ``IndexError`` and no wrapped lookup."""
+    from cstarcat.errors import InvalidInput
+    from cstarcat.generators import random_block_category as block_category
+
+    cat2, _ = block_category(3, n_objects=2)
+    module = representable(cat2, 1)
+    with pytest.raises(InvalidInput):
+        list_eval_basis(module, (0, bad))
+    element = list_eval_basis(module, (0, 1))[0]
+    with pytest.raises(InvalidInput):
+        element.component(bad)
+
+
 def test_free_cover_identities(cat):
     module = random_module(43, cat)
     free, phi = free_cover(module)
