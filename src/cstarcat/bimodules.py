@@ -14,16 +14,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import (Tolerance, as_cmatrix, numerical_rank, op_norm, op_norms, resolve_tol,
-                     span_eval)
+from .linalg import (Tolerance, as_cmatrix, hermitian_part, numerical_rank, op_norm, op_norms,
+                     resolve_tol, span_eval)
 from .category import (
     CStarCategory,
     Morphism,
     _action_residuals,
     _block_diagonal,
     _blockwise,
-    _check_pair_keys,
     _layout,
+    _pair_stacks,
     block_residual,
     list_dim,
 )
@@ -80,25 +80,8 @@ class Bimodule:
         for module in self.ob_map:
             if module.cat is not target:
                 raise InvalidInput("object images must be modules over the target")
-        _check_pair_keys(mor_blocks, source.n_objects, "action")
-        self._blocks: dict[tuple[int, int], np.ndarray] = {}
-        for x in range(source.n_objects):
-            for y in range(source.n_objects):
-                k = source.hom_dim(x, y)
-                dx = self.ob_map[x].total_dim
-                dy = self.ob_map[y].total_dim
-                stack = mor_blocks.get((x, y)) if mor_blocks is not None else None
-                if stack is None:
-                    if k != 0:
-                        raise InvalidInput(f"missing action blocks for hom({x},{y})")
-                    stack = np.zeros((0, dy, dx), dtype=np.complex128)
-                stack = np.asarray(stack, dtype=np.complex128)
-                if stack.shape != (k, dy, dx):
-                    raise InvalidInput(
-                        f"action blocks for hom({x},{y}) have shape {stack.shape}, "
-                        f"expected {(k, dy, dx)}"
-                    )
-                self._blocks[(x, y)] = stack
+        self._blocks = _pair_stacks(source, mor_blocks, [m.total_dim for m in self.ob_map],
+                                    "action blocks")
         if validate:
             res = 0.0
             for (x, y), stack in self._blocks.items():  # one stacked projection per pair
@@ -111,7 +94,7 @@ class Bimodule:
         return self.ob_map[self.source.check_object(x)]
 
     def mor_stack(self, x: int, y: int) -> np.ndarray:
-        return self._blocks[(x, y)]
+        return self._blocks[self.source.check_object(x), self.source.check_object(y)]
 
     def mor(self, a: Morphism) -> ModuleOperator:
         """Linear extension of the basis action to an arbitrary morphism."""
@@ -250,8 +233,7 @@ class TensorModule:
         self.M = M
         self.E = E
         base = tuple(z for x in M.base for z in E.ob(x).base)
-        proj = E.hull_extend(M.base, M.base, M.proj)
-        proj = 0.5 * (proj + proj.conj().T)
+        proj = hermitian_part(E.hull_extend(M.base, M.base, M.proj))
         self.module = HilbertModule(E.target, base, proj, tol=M.tol, validate=True)
 
     def simple(self, m: ModuleElement, e: ModuleElement) -> ModuleElement:
@@ -293,20 +275,20 @@ class QuotientTensor:
         self.tol = tol = resolve_tol(tol if tol is not None else M.tol)
         src, dst = E.source, E.target
         objs = range(src.n_objects)
-        lefts = [M.eval_basis(x) for x in objs]
-        cols = [_side_by_side(ms, M.total_dim) for ms in lefts]
+        # per object, the evaluation basis as columns side by side
+        cols = [s.transpose(1, 0, 2).reshape(s.shape[1], -1) for s in map(M.eval_stack, objs)]
         acted = {}
         for x in objs:
             for xp in objs:
-                p, pp = len(lefts[x]), len(lefts[xp])
+                p, pp = M.eval_dim(x), M.eval_dim(xp)
                 inner = (cols[x].conj().T @ cols[xp]).reshape(p, src.dim(x), pp, src.dim(xp))
                 acted[x, xp] = E._act(xp, x, inner.transpose(0, 2, 1, 3))
         self.generators: dict[int, list[tuple[ModuleElement, ModuleElement]]] = {}
         self.gram: dict[int, np.ndarray] = {}
         self.dims: dict[int, int] = {}
         for z in range(dst.n_objects):
-            rights = [E.ob(x).eval_basis(z) for x in objs]
-            wide = [_side_by_side(es, E.ob(x).total_dim) for x, es in enumerate(rights)]
+            wide = [s.transpose(1, 0, 2).reshape(s.shape[1], -1)
+                    for s in (E.ob(x).eval_stack(z) for x in objs)]
             blocks = []
             for x in objs:
                 blocks.append([])
@@ -314,17 +296,11 @@ class QuotientTensor:
                     pair = wide[x].conj().T @ acted[x, xp] @ wide[xp]
                     p, pp, r, c = pair.shape
                     blocks[x].append(pair.transpose(0, 2, 1, 3).reshape(p * r, pp * c))
-            gens = [(m, e) for ms, es in zip(lefts, rights) for m in ms for e in es]
+            gens = [(m, e) for x in objs for m in M.eval_basis(x) for e in E.ob(x).eval_basis(z)]
             n, dz = len(gens), dst.dim(z)
             self.generators[z], self.gram[z] = gens, np.block(blocks)
             scalar = self.gram[z].reshape(n, dz, n, dz).trace(axis1=1, axis2=3)
             self.dims[z] = numerical_rank(np.abs(np.linalg.eigvalsh(scalar)), tol)
-
-
-def _side_by_side(elements, rows: int) -> np.ndarray:
-    """The columns of module elements side by side; ``rows`` × 0 if none."""
-    cols = [e.col for e in elements]
-    return np.concatenate(cols, axis=1) if cols else np.zeros((rows, 0), dtype=np.complex128)
 
 
 def tensor_quotient_oracle(M: HilbertModule, E: Bimodule,
@@ -359,12 +335,12 @@ def _cross_check(tensor: TensorModule, tol: Tolerance) -> Report:
         if not gens:
             continue
         _, gram2 = gram_matrix(tensor.simple(m, e) for (m, e) in gens)
-        ev1 = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-        ev2 = np.linalg.eigvalsh(0.5 * (gram2 + gram2.conj().T))
+        ev1 = np.linalg.eigvalsh(hermitian_part(gram))
+        ev2 = np.linalg.eigvalsh(hermitian_part(gram2))
         # the operator norm of the Hermitian oracle Gram is its largest |eigenvalue|
         scale = max(float(np.max(np.abs(ev1))), 1.0)
         diff = gram2 - gram
-        diff_norm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
+        diff_norm = float(np.max(np.abs(np.linalg.eigvalsh(hermitian_part(diff)))))
         entry_res = max(entry_res, diff_norm / scale)
         spec_res = max(spec_res, float(np.max(np.abs(ev1 - ev2))) / scale)
     report.add("evaluation-dimension-gap", float(dim_gap), 0.5)
@@ -423,7 +399,7 @@ class BimoduleMap:
             raise InvalidInput("need one component per source object")
 
     def component(self, x: int) -> ModuleOperator:
-        return self.components[x]
+        return self.components[self.dom.source.check_object(x)]
 
     def verify_natural(self, tol: Tolerance | None = None) -> Report:
         tol = resolve_tol(tol if tol is not None else self.dom.tol)

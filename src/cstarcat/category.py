@@ -27,6 +27,7 @@ from .linalg import (
     block_eigvalsh,
     frac_power,
     frobenius_norm,
+    hermitian_part,
     min_herm_eig,
     numerical_rank,
     op_norm,
@@ -74,6 +75,31 @@ def _check_pair_keys(mapping, n: int, what: str) -> None:
         pair = key if isinstance(key, tuple) and len(key) == 2 else ()
         if not pair or not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in pair):
             raise InvalidInput(f"{what} key {key!r} is not a pair of object indices below {n}")
+
+
+def _pair_stacks(cat: "CStarCategory", mapping, sizes, what: str) -> dict:
+    """Every (x, y) -> stack of a (src, dst)-keyed mapping over the objects
+    of ``cat``, checked to have shape (hom_dim(x, y), sizes[y], sizes[x]).
+    A pair may be missing (or empty) only where its hom-space is empty.  A
+    complex ndarray is kept as it is, not copied: the largest stacks are
+    built by the engine and set the memory of a Morita pass."""
+    _check_pair_keys(mapping, cat.n_objects, what)
+    out = {}
+    for x in range(cat.n_objects):
+        for y in range(cat.n_objects):
+            expected = (cat.hom_dim(x, y), sizes[y], sizes[x])
+            try:
+                stack = np.asarray(() if mapping is None else mapping.get((x, y), ()),
+                                   dtype=np.complex128)
+            except (TypeError, ValueError) as exc:
+                raise InvalidInput(f"{what} on hom({x},{y}) must be a stack of matrices") from exc
+            if stack.shape == (0,):
+                stack = stack.reshape(0, *expected[1:])
+            if stack.shape != expected:
+                raise InvalidInput(
+                    f"{what} on hom({x},{y}) must have shape {expected}, got {stack.shape}")
+            out[x, y] = stack
+    return out
 
 
 class CStarCategory:
@@ -138,13 +164,13 @@ class CStarCategory:
         return list(zip(self._labels, self._dims))
 
     def dim(self, x: int) -> int:
-        return self._dims[x]
+        return self._dims[self.check_object(x)]
 
     def label(self, x: int) -> str:
-        return self._labels[x]
+        return self._labels[self.check_object(x)]
 
     def check_object(self, x: int) -> int:
-        if not 0 <= x < self.n_objects:
+        if not 0 <= x < len(self._dims):
             raise InvalidInput(f"object index {x} out of range")
         return x
 
@@ -189,8 +215,7 @@ class CStarCategory:
         return Morphism(self, src, dst, mat, validate=validate)
 
     def unit(self, x: int) -> "Morphism":
-        d = self.dim(self.check_object(x))
-        return Morphism(self, x, x, np.eye(d, dtype=np.complex128), validate=False)
+        return Morphism(self, x, x, np.eye(self.dim(x), dtype=np.complex128), validate=False)
 
     def zero(self, x: int, y: int) -> "Morphism":
         return Morphism(
@@ -394,29 +419,13 @@ class CStarFunctor:
         self.object_map = tuple(target.check_object(int(v)) for v in object_map)
         if len(self.object_map) != source.n_objects:
             raise InvalidInput("object map must cover every source object")
-        _check_pair_keys(action, source.n_objects, "action")
-        self._action: dict[tuple[int, int], np.ndarray] = {}
-        for x in range(source.n_objects):
-            for y in range(source.n_objects):
-                k = source.hom_dim(x, y)
-                fx, fy = self.object_map[x], self.object_map[y]
-                dy, dx = target.dim(fy), target.dim(fx)
-                imgs = action.get((x, y)) if action is not None else None
-                if imgs is None:
-                    if k != 0:
-                        raise InvalidInput(f"missing action on hom({x},{y})")
-                    self._action[(x, y)] = np.zeros((0, dy, dx), dtype=np.complex128)
-                    continue
-                stack = np.stack([as_cmatrix(im, dy, dx) for im in imgs]) if len(imgs) else \
-                    np.zeros((0, dy, dx), dtype=np.complex128)
-                if stack.shape[0] != k:
-                    raise InvalidInput(
-                        f"action on hom({x},{y}) has {stack.shape[0]} images, expected {k}"
-                    )
-                self._action[(x, y)] = stack
+        self._action = _pair_stacks(source, action, [target.dim(f) for f in self.object_map],
+                                    "action")
+        if not all(np.all(np.isfinite(stack)) for stack in self._action.values()):
+            raise InvalidInput("functor images must be finite")
 
     def image_stack(self, x: int, y: int) -> np.ndarray:
-        return self._action[(x, y)]
+        return self._action[self.source.check_object(x), self.source.check_object(y)]
 
     def apply(self, m: Morphism, validate: bool = False) -> Morphism:
         if m.cat is not self.source:
@@ -559,7 +568,7 @@ def _layout(cat: CStarCategory, lst, sizes=None) -> _Layout:
     """
     key = (tuple(lst), None if sizes is None else tuple(sizes))
     if key not in cat._layouts:
-        dims = [cat.dim(cat.check_object(x)) for x in key[0]]
+        dims = [cat.dim(x) for x in key[0]]
         slices = _size_slices(dims if sizes is None else sizes)
         plan = {}
         for x in dict.fromkeys(key[0]):
@@ -612,9 +621,11 @@ def block_project(cat: CStarCategory, src_lst, dst_lst, mat) -> np.ndarray:
     rows, cols = _layout(cat, dst_lst), _layout(cat, src_lst)
     if arr.ndim == 2:
         arr = as_cmatrix(arr, rows.dim, cols.dim)
-    elif arr.shape[-2:] != (rows.dim, cols.dim) or not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"expected a finite stack of {(rows.dim, cols.dim)} block matrices, "
+    elif arr.shape[-2:] != (rows.dim, cols.dim):
+        raise InvalidInput(f"expected a stack of {(rows.dim, cols.dim)} block matrices, "
                            f"got shape {arr.shape}")
+    elif not np.all(np.isfinite(arr)):
+        raise InvalidInput("stack of block matrices has non-finite entries")
     out = np.zeros_like(arr)
     _blockwise(cat, cat.hom_project, arr, out, cols, rows, cols, rows)
     return out
@@ -640,8 +651,7 @@ def _projection_report(cat: CStarCategory, base, proj: np.ndarray, tol: Toleranc
     # a symmetrized projection has an exactly zero skew part: no eigensolve for it
     herm = op_norm(skew) if skew.any() else 0.0
     del skew  # freed before the Hermitian part is formed
-    herm_part = 0.5 * (proj + proj.conj().T) if herm else proj
-    spectrum = block_eigvalsh(herm_part, [cat.dim(x) for x in base])
+    spectrum = block_eigvalsh(hermitian_part(proj) if herm else proj, [cat.dim(x) for x in base])
     norm, k = float(np.max(np.abs(spectrum))), 0.5 * herm
     idem = float(np.max(np.abs(spectrum * spectrum - spectrum))) + k * (2.0 * norm + k + 1.0)
     bound = tol.bound(max(norm, 1.0))
@@ -769,8 +779,7 @@ def column_sup_norm(cat: CStarCategory, src_lst, block, probes: int = 48,
 
         projected = np.einsum("ij,kjl->kil", gram, stack)
         form = np.tensordot(stack.conj(), projected, axes=([1, 2], [1, 2]))
-        form = 0.5 * (form + form.conj().T)
-        evals, evecs = np.linalg.eigh(form)
+        evals, evecs = np.linalg.eigh(hermitian_part(form))
         b_col = span_eval(evecs[:, -1], stack)
         nb = op_norm(b_col)
         if numerical_rank([nb], tol):
@@ -851,7 +860,7 @@ class IdempotentCompletion:
                     raise InvalidInput("supplied morphism is not a projection")
                 if op_norm(mat - eye) <= tol.bound(1.0):
                     continue
-                evals, evecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+                evals, evecs = np.linalg.eigh(hermitian_part(mat))
                 isometry = evecs[:, evals > 0.5]
                 self.pairs.append((x, mat, isometry))
 

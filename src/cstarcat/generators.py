@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import Tolerance, _size_slices, random_complex, resolve_tol
+from .linalg import Tolerance, _size_slices, hermitian_part, random_complex, resolve_tol
 from .category import CStarCategory, CStarFunctor, random_block
 
 __all__ = [
@@ -300,7 +300,7 @@ def random_block_projection(rng: np.random.Generator, cat: CStarCategory, lst) -
     """
     lst = tuple(lst)
     raw = random_block(rng, cat, lst, lst)
-    proj = _middle_gap_projection(0.5 * (raw + raw.conj().T))
+    proj = _middle_gap_projection(hermitian_part(raw))
     return np.eye(raw.shape[0], dtype=np.complex128) if proj is None else proj
 
 

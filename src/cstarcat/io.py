@@ -150,10 +150,9 @@ def decode_module_payload(payload: dict, tol: Tolerance | None = None,
                           cat: CStarCategory | None = None):
     """The (category, base, projection) a module payload describes.
 
-    Accepts a (base, projection) presentation or a generating-element form
-    (base plus columns), which is converted by taking the support of the
-    generators' outer Gram.  Checks shapes and object indices only; whether
-    the matrix is a projection in the block hom-space is left to the caller.
+    A payload is a (base, projection) presentation; one without ``"proj"``
+    is unreadable.  Checks shapes and object indices only; whether the
+    matrix is a projection in the block hom-space is left to the caller.
     """
     tol = resolve_tol(tol)
     try:
@@ -162,16 +161,7 @@ def decode_module_payload(payload: dict, tol: Tolerance | None = None,
         base = tuple(_index(x, "base entry") for x in payload["base"])
         if not all(0 <= x < cat.n_objects for x in base):
             raise ParseError(f"base {base} names an object outside the category")
-        if "proj" in payload:
-            proj = decode_matrix(payload["proj"])
-        else:
-            cols = [decode_matrix(g["col"]) for g in payload["generators"]]
-            stack = np.concatenate(cols, axis=1) if cols else None
-            if stack is None:
-                raise ParseError("generating form needs at least one element")
-            from .linalg import range_projection
-
-            proj = range_projection(stack @ stack.conj().T, tol)
+        proj = decode_matrix(payload["proj"])
     except _PAYLOAD_ERRORS as exc:
         raise ParseError(f"bad module payload: {exc!r}") from exc
     expected = sum(cat.dim(x) for x in base)
@@ -182,7 +172,7 @@ def decode_module_payload(payload: dict, tol: Tolerance | None = None,
 
 def module_from_payload(payload: dict, tol: Tolerance | None = None,
                         cat: CStarCategory | None = None) -> HilbertModule:
-    """Rebuild a module from either payload form (see ``decode_module_payload``)."""
+    """Rebuild a module from its payload (see ``decode_module_payload``)."""
     tol = resolve_tol(tol)
     cat, base, proj = decode_module_payload(payload, tol, cat)
     return _build(HilbertModule, cat, base, proj, tol=tol)

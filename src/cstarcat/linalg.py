@@ -28,6 +28,7 @@ __all__ = [
     "op_norms",
     "block_eigvalsh",
     "frobenius_norm",
+    "hermitian_part",
     "herm_eigh",
     "psd_eigh",
     "frac_power",
@@ -158,13 +159,19 @@ def frobenius_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m*) / 2, written as ``0.5 * (m + m.conj().T)``: the engine's one
+    symmetrization."""
+    return 0.5 * (m + m.conj().T)
+
+
 def herm_eigh(m, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a matrix required to be Hermitian within tol."""
     tol = resolve_tol(tol)
     arr = as_cmatrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise InvalidInput("matrix is not square")
-    evals, evecs = np.linalg.eigh(0.5 * (arr + arr.conj().T))
+    evals, evecs = np.linalg.eigh(hermitian_part(arr))
     # the operator norm of the Hermitian part is its largest |eigenvalue|
     scale = float(np.max(np.abs(evals))) if evals.size else 0.0
     skew = arr - arr.conj().T
@@ -244,7 +251,7 @@ def null_space(system, tol: Tolerance | None = None) -> tuple[np.ndarray, np.nda
 
 
 def min_herm_eig(m) -> float:
-    evals = np.linalg.eigvalsh(0.5 * (np.asarray(m) + np.asarray(m).conj().T))
+    evals = np.linalg.eigvalsh(hermitian_part(np.asarray(m)))
     return float(evals[0]) if evals.size else 0.0
 
 

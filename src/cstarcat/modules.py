@@ -36,7 +36,6 @@ from .category import (
     _projection_report,
     block_residual,
     block_basis_stack,
-    list_dim,
     random_block,
 )
 from .report import Report
@@ -58,10 +57,6 @@ __all__ = [
     "bounded_operator_basis",
     "compact_operator_basis",
     "unitary_operator_report",
-    "ListElement",
-    "list_inner",
-    "list_single_rank",
-    "list_eval_basis",
 ]
 
 
@@ -84,7 +79,7 @@ class HilbertModule:
                 raise InvalidInput("presentation matrix is not a projection within tolerance")
             if not span.passed:
                 raise InvalidInput("projection is not in the block hom-space")
-        self._eval_cache: dict[int, list["ModuleElement"]] = {}
+        self._eval_cache: dict[int, np.ndarray] = {}  # see eval_stack
 
     # -- elements -----------------------------------------------------------
 
@@ -102,8 +97,9 @@ class HilbertModule:
         raw = random_block(rng, self.cat, (at,), self.base)
         return ModuleElement(self, at, self.proj @ raw, validate=False)
 
-    def eval_basis(self, at: int) -> list["ModuleElement"]:
-        """Frobenius-orthonormal basis of the evaluation space at ``at``.
+    def eval_stack(self, at: int) -> np.ndarray:
+        """Frobenius-orthonormal basis of the evaluation space at ``at``, as
+        one read-only (k, total_dim, dim(at)) stack, built once per object.
 
         The space is the image under the projection P of the block columns
         with i-th block in hom(at, x_i).  Those columns have an orthonormal
@@ -132,10 +128,14 @@ class HilbertModule:
                 basis = np.zeros((rank,) + basis.shape[1:], dtype=np.complex128)
                 for j, b_j in enumerate(bases):
                     basis[:, self.slices[j], :] = span_eval(vh[:rank, spans[j]], b_j)
-            self._eval_cache[at] = [
-                ModuleElement(self, at, c, validate=False) for c in basis
-            ]
+            basis.flags.writeable = False
+            self._eval_cache[at] = basis
         return self._eval_cache[at]
+
+    def eval_basis(self, at: int) -> list["ModuleElement"]:
+        """The evaluation basis at ``at`` as elements whose columns are views
+        of ``eval_stack(at)``."""
+        return [ModuleElement(self, at, c, validate=False) for c in self.eval_stack(at)]
 
     @cached_property
     def frame(self) -> np.ndarray:
@@ -146,13 +146,7 @@ class HilbertModule:
         return evecs[:, evals > 0.0]
 
     def eval_dim(self, at: int) -> int:
-        return len(self.eval_basis(at))
-
-    def eval_stack(self, at: int) -> np.ndarray:
-        """The evaluation basis at ``at`` as one stack of columns."""
-        cols = [e.col for e in self.eval_basis(at)]
-        shape = (len(cols), self.total_dim, self.cat.dim(at))
-        return np.array(cols, dtype=np.complex128).reshape(shape)
+        return self.eval_stack(at).shape[0]
 
     def identity(self) -> "ModuleOperator":
         return ModuleOperator(self, self, self.proj, validate=False)
@@ -278,8 +272,7 @@ class ModuleOperator:
 
 def representable(cat: CStarCategory, x: int) -> HilbertModule:
     """The module of morphisms into ``x``: base [x], identity projection."""
-    d = cat.dim(cat.check_object(x))
-    return HilbertModule(cat, (x,), np.eye(d, dtype=np.complex128), validate=False)
+    return HilbertModule(cat, (x,), np.eye(cat.dim(x), dtype=np.complex128), validate=False)
 
 
 def inner_product(e: ModuleElement, f: ModuleElement) -> Morphism:
@@ -443,59 +436,3 @@ def unitary_operator_report(T: ModuleOperator, tol: Tolerance | None = None) -> 
     report.add("surjectivity-deficit", float(deficit), 0.5)
     return report
 
-
-# ---------------------------------------------------------------------------
-# evaluation over object lists (the module extended to the additive hull)
-
-
-class ListElement:
-    """Element of a module evaluated at a finite object list.
-
-    A wide column whose j-th column block is an ordinary element at the
-    list's j-th object; reproduces blockwise inner products over the hull.
-    """
-
-    __slots__ = ("module", "at_list", "col")
-
-    def __init__(self, module: HilbertModule, at_list, col, validate: bool = True):
-        self.module = module
-        self.at_list = tuple(module.cat.check_object(int(y)) for y in at_list)
-        width = list_dim(module.cat, self.at_list)
-        self.col = as_cmatrix(col, module.total_dim, width)
-        if validate:
-            res = op_norm(module.proj @ self.col - self.col)
-            if res > module.tol.bound(max(op_norm(self.col), 1.0)):
-                raise InvalidInput("wide column is not projection-invariant")
-
-    def component(self, j: int) -> ModuleElement:
-        if not 0 <= j < len(self.at_list):
-            raise InvalidInput(f"component index {j} out of range")
-        cols = _layout(self.module.cat, self.at_list).slices[j]
-        return ModuleElement(self.module, self.at_list[j], self.col[:, cols], validate=False)
-
-
-def list_eval_basis(module: HilbertModule, at_list) -> list[ListElement]:
-    """Componentwise basis of the evaluation at a list (product of evaluations)."""
-    at_list = tuple(at_list)
-    layout = _layout(module.cat, at_list)
-    out = []
-    for y, cols in zip(at_list, layout.slices):
-        for e in module.eval_basis(y):
-            wide = np.zeros((module.total_dim, layout.dim), dtype=np.complex128)
-            wide[:, cols] = e.col
-            out.append(ListElement(module, at_list, wide, validate=False))
-    return out
-
-
-def list_inner(u: ListElement, v: ListElement) -> np.ndarray:
-    """Blockwise inner product: the hull morphism [⟨u_j, v_i⟩]."""
-    if u.module is not v.module:
-        raise InvalidInput("inner products need elements of one module")
-    return u.col.conj().T @ v.col
-
-
-def list_single_rank(f: ListElement, e: ListElement) -> ModuleOperator:
-    """θ over a list; decomposes as the sum of the componentwise θ's."""
-    if f.at_list != e.at_list:
-        raise InvalidInput("both elements must sit at the same list")
-    return ModuleOperator(e.module, f.module, f.col @ e.col.conj().T, validate=False)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, NotInvertible
-from .linalg import (Tolerance, frac_power, numerical_rank, op_norm, op_norms, psd_eigh,
-                     resolve_tol, span_eval)
+from .linalg import (Tolerance, frac_power, hermitian_part, numerical_rank, op_norm, op_norms,
+                     psd_eigh, resolve_tol, span_eval)
 from .category import (
     CStarCategory,
     MatrixAlgebra,
@@ -36,7 +36,6 @@ from .bimodules import (
     Bimodule,
     BimoduleMap,
     _cross_check,
-    _side_by_side,
     _whiskered_component,
     tensor_bimodule_bimodule,
     tensor_cross_check,  # noqa: F401  (perfbench/selftest.py reads it from this module)
@@ -194,8 +193,9 @@ def check_full(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool, Report]
     dst = E.target
     report = Report(context="fullness")
     # per fiber and target object, the evaluation basis as columns side by side
-    wide = [[_side_by_side(E.ob(x).eval_basis(y), E.ob(x).total_dim)
-             for y in range(dst.n_objects)] for x in range(E.source.n_objects)]
+    wide = [[s.transpose(1, 0, 2).reshape(s.shape[1], -1)
+             for s in map(E.ob(x).eval_stack, range(dst.n_objects))]
+            for x in range(E.source.n_objects)]
     deficit = 0
     for y in range(dst.n_objects):
         for yp in range(dst.n_objects):
@@ -314,13 +314,8 @@ class ConjugateBimodule:
         roots: dict[int, np.ndarray] = {}
         ob_map = []
         for y in range(dst.n_objects):
-            gens = []
-            objects = []
-            for x in range(src.n_objects):
-                for e in E.ob(x).eval_basis(y):
-                    gens.append(e)
-                    objects.append(x)
-            self.gens[y] = gens
+            self.gens[y] = gens = [e for x in range(src.n_objects) for e in E.ob(x).eval_basis(y)]
+            objects = [x for x in range(src.n_objects) for _ in range(E.ob(x).eval_dim(y))]
             self.gen_objects[y] = tuple(objects)
             if not gens:
                 # the zero fiber, presented on a singleton base
@@ -333,9 +328,7 @@ class ConjugateBimodule:
                 ob_map.append(HilbertModule(src, (0,), zero, tol=self.tol, validate=False))
                 ob_map[-1].frame, roots[y] = np.zeros((d0, 0), dtype=np.complex128), np.zeros(0)
                 continue
-            gram = data.left_product_block(gens, gens)
-            gram = 0.5 * (gram + gram.conj().T)
-            evals, evecs = psd_eigh(gram, self.tol)
+            evals, evecs = psd_eigh(hermitian_part(data.left_product_block(gens, gens)), self.tol)
             keep = evals > 0.0
             support, root = evecs[:, keep], np.sqrt(evals[keep])
             self.sqrt[y] = (support * root) @ support.conj().T
@@ -375,12 +368,16 @@ class ConjugateBimodule:
 
     def _fibers(self, y: int) -> dict[int, tuple]:
         """Per fiber x holding generators at y: the presentation rows of
-        their blocks and their columns, stacked."""
+        their blocks and their columns, the fiber's ``eval_stack(y)``."""
         if not self.gens[y]:
             return {}
-        rows = _layout(self.original.bimodule.source, self.gen_objects[y]).plan
-        pairs = list(zip(self.gens[y], self.gen_objects[y]))
-        return {x: (r, np.stack([e.col for e, xa in pairs if xa == x])) for x, r in rows.items()}
+        E = self.original.bimodule
+        rows = _layout(E.source, self.gen_objects[y]).plan
+        return {x: (r, E.ob(x).eval_stack(y)) for x, r in rows.items()}
+
+    def _columns(self, y: int) -> np.ndarray:
+        """The columns of the generators at y, one above the other."""
+        return np.concatenate([g.reshape(-1, g.shape[-1]) for _, g in self._fibers(y).values()])
 
     def element_of(self, f: ModuleElement) -> ModuleElement:
         """Presentation column of the conjugate of an original element."""
@@ -404,8 +401,7 @@ class ConjugateBimodule:
             return E.ob(x).zero_element(y)
         # the coefficient blocks are morphisms x -> x_a; their adjoints act on e_a
         lifted = E.hull_extend(self.gen_objects[y], (x,), (self.isqrt[y] @ c.col).conj().T)
-        return ModuleElement(E.ob(x), y, lifted @ np.concatenate([e.col for e in gens]),
-                             validate=False)
+        return ModuleElement(E.ob(x), y, lifted @ self._columns(y), validate=False)
 
 
 def _conjugated_coefficients(gens: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -448,9 +444,7 @@ def morita_target_map(data: BiHilbertData,
         if not gens:
             block = np.zeros((E.target.dim(y), dom.ob(y).total_dim), dtype=np.complex128)
         else:
-            row = np.concatenate([e.col.conj().T for e in gens], axis=1)
-            ext_isqrt = E.hull_extend(objs, objs, conj.isqrt[y])
-            block = row @ ext_isqrt
+            block = conj._columns(y).conj().T @ E.hull_extend(objs, objs, conj.isqrt[y])
         comps.append(ModuleOperator(dom.ob(y), cod.ob(y), block, validate=False))
     return BimoduleMap(dom, cod, comps)
 

@@ -1,11 +1,13 @@
-"""Regenerate the serialized fixture corpus under tests/fixtures/.
+"""Regenerate the serialized fixture corpus, by default under tests/fixtures/.
 
 Run from the repository root:
 
-    python3 tests/make_fixtures.py
+    python3 tests/make_fixtures.py [OUT_DIR]
 
 Every file is produced deterministically from fixed seeds through the same
-construction paths the CLI uses.
+construction paths the CLI uses.  ``tests/test_fixture_verdicts.py`` writes
+the corpus into a temporary directory and compares it with the checked-in
+files.
 """
 
 import pathlib
@@ -29,8 +31,9 @@ from cstarcat.io import save_specfile, specfile_for
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
-def main() -> None:
-    FIXTURES.mkdir(exist_ok=True)
+def main(out_dir=FIXTURES) -> None:
+    out_dir = pathlib.Path(out_dir)
+    out_dir.mkdir(exist_ok=True)
     out = []
 
     cats = {}
@@ -69,9 +72,9 @@ def main() -> None:
     ))
 
     for name, obj in out:
-        save_specfile(FIXTURES / f"{name}.cstar.json", specfile_for(obj))
-    print(f"wrote {len(out)} fixtures to {FIXTURES}")
+        save_specfile(out_dir / f"{name}.cstar.json", specfile_for(obj))
+    print(f"wrote {len(out)} fixtures to {out_dir}")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:])

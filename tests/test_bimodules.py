@@ -434,6 +434,68 @@ def test_hull_extend_rejects_bad_object_indices(bad):
             E.hull_extend(src_list, dst_list, block)
 
 
+@pytest.mark.parametrize("bad", [2, 5, -1])
+def test_accessors_reject_bad_object_indices(bad):
+    """The object, action and component accessors raise ``InvalidInput`` on
+    an index out of range or negative, never a bare lookup error or a
+    wrapped-around result."""
+    from cstarcat.bimodules import BimoduleMap
+    from cstarcat.category import identity_functor
+    from cstarcat.errors import InvalidInput
+
+    base, _ = random_block_category(3, n_objects=2)
+    E = yoneda_bimodule(base)
+    tau = BimoduleMap(E, E, [E.ob(x).identity() for x in range(2)])
+    calls = [
+        lambda: base.dim(bad),
+        lambda: base.label(bad),
+        lambda: E.mor_stack(bad, 0),
+        lambda: E.mor_stack(0, bad),
+        lambda: identity_functor(base).image_stack(bad, 0),
+        lambda: tau.component(bad),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInput):
+            call()
+
+
+@pytest.mark.parametrize("defect", ["missing", "count", "shape", "nan"])
+@pytest.mark.parametrize("kind", ["bimodule", "functor"])
+def test_action_stacks_are_complete_and_shaped(kind, defect):
+    """Bimodules and functors read their action stacks one way: an ndarray
+    is kept without a copy, a pair may be missing only over an empty
+    hom-space, and a wrong count or block shape is ``InvalidInput``; so is
+    a non-finite entry."""
+    from cstarcat.category import CStarFunctor
+    from cstarcat.errors import InvalidInput
+
+    base, _ = random_block_category(9, n_objects=3)  # hom(0, 1) = hom(1, 0) = 0
+    n = base.n_objects
+    stacks = {(x, y): base.hom_basis(x, y).copy() for x in range(n) for y in range(n)}
+
+    def build(action):
+        if kind == "bimodule":
+            return Bimodule(base, base, [representable(base, x) for x in range(n)], action)
+        return CStarFunctor(base, base, range(n), action)
+
+    read = "mor_stack" if kind == "bimodule" else "image_stack"
+    built = build({pair: stack for pair, stack in stacks.items() if pair != (0, 1)})
+    assert getattr(built, read)(0, 1).shape == (0, base.dim(1), base.dim(0))
+    assert getattr(built, read)(2, 0) is stacks[2, 0]
+    bad = dict(stacks)
+    if defect == "missing":
+        del bad[2, 0]
+    elif defect == "count":
+        bad[2, 0] = stacks[2, 0][:-1]
+    elif defect == "shape":
+        bad[2, 0] = stacks[2, 0].swapaxes(-1, -2)
+    else:
+        bad[2, 0] = stacks[2, 0].copy()
+        bad[2, 0][0, 0, 0] = np.nan
+    with pytest.raises(InvalidInput, match="finite" if defect == "nan" else r"hom\(2,0\)"):
+        build(bad)
+
+
 def _reference_span_rank_deficit(E, tol):
     """Span-rank criterion one image T e at a time."""
     src, dst = E.source, E.target

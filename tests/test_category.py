@@ -405,6 +405,18 @@ def test_block_helpers_reject_bad_object_indices(bad):
             call()
 
 
+def test_block_project_tells_shape_from_non_finite_entries():
+    cat, _ = random_block_category(3, n_objects=2)
+    stack = np.zeros((1, 2, 2))
+    with pytest.raises(InvalidInput, match="shape") as wrong:
+        block_project(cat, (1,), (0,), stack)
+    assert "finite" not in str(wrong.value)
+    stack[0, 0, 1] = np.nan
+    with pytest.raises(InvalidInput, match="non-finite") as nan:
+        block_project(cat, (1,), (1,), stack)
+    assert "shape" not in str(nan.value)
+
+
 def _reference_closure(cat):
     """Unit, involution and composition residuals, one element at a time."""
     n = cat.n_objects

@@ -7,6 +7,11 @@ checks.  An entry that changes is a declared change of the CLI contract,
 like a changed gate.
 
 Regenerate the table with ``PYTHONPATH=src python3 tests/test_fixture_verdicts.py``.
+
+The corpus itself is checked against its generator: ``tests/make_fixtures.py``
+writes it afresh, and each regenerated file must give the table's verdicts
+and decode to matrices within 1e-12 of the checked-in file (regeneration can
+move the last bits, so the corpus is compared, not rewritten).
 """
 
 import contextlib
@@ -33,9 +38,9 @@ def verdict(verb: str, path: Path) -> dict:
     return {"exit": code, "checks": sorted([c["name"], c["pass"]] for c in checks)}
 
 
-def verdict_table() -> dict:
+def verdict_table(fixtures: Path = FIXTURES) -> dict:
     return {f"{verb} {path.name}": verdict(verb, path)
-            for path in sorted(FIXTURES.glob("*.cstar.json")) for verb in VERBS}
+            for path in sorted(fixtures.glob("*.cstar.json")) for verb in VERBS}
 
 
 def test_fixture_verdicts_match_the_table():
@@ -44,6 +49,35 @@ def test_fixture_verdicts_match_the_table():
     assert sorted(got) == sorted(expected)
     changed = [key for key in expected if got[key] != expected[key]]
     assert not changed, changed
+
+
+def _deviation(a, b) -> float:
+    """Largest difference of two decoded JSON trees that share their
+    structure, keys and non-numeric values; ``inf`` where they do not."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return max((_deviation(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max((_deviation(u, v) for u, v in zip(a, b)), default=0.0)
+    if isinstance(a, float) and isinstance(b, float):
+        return abs(a - b)
+    return 0.0 if type(a) is type(b) and a == b else float("inf")
+
+
+def test_regenerated_corpus_matches_the_checked_in_one(tmp_path, capsys):
+    sys.path.insert(0, str(HERE))
+    try:
+        import make_fixtures
+    finally:
+        sys.path.remove(str(HERE))
+    make_fixtures.main(tmp_path)
+    capsys.readouterr()
+    names = sorted(path.name for path in FIXTURES.glob("*.cstar.json"))
+    assert sorted(path.name for path in tmp_path.glob("*.cstar.json")) == names
+    assert verdict_table(tmp_path) == json.loads(TABLE.read_text())
+    far = {name: dev for name in names
+           if (dev := _deviation(json.loads((FIXTURES / name).read_text()),
+                                 json.loads((tmp_path / name).read_text()))) > 1e-12}
+    assert not far, far
 
 
 if __name__ == "__main__":

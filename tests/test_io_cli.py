@@ -203,9 +203,12 @@ def test_encode_matrix_matches_elementwise_form():
     lambda p: p.update(base="01"),
     lambda p: p.update(base=[0, 7]),
     lambda p: p.pop("proj"),
+    lambda p: p.update(generators=[{"col": p.pop("proj")}]),
     lambda p: p["category"]["objects"][0].pop("dim"),
-], ids=["no-base", "string-base", "base-out-of-range", "no-proj", "no-dim"])
+], ids=["no-base", "string-base", "base-out-of-range", "no-proj", "generators-no-proj", "no-dim"])
 def test_malformed_module_payload_is_input_error(tmp_path, capsys, mutate):
+    """A module payload is (base, proj) only: a generating-element form
+    without ``"proj"`` is unreadable like any other malformed payload."""
     spec = load_specfile(FIXTURES / "module_1.cstar.json")
     mutate(spec.payload)
     path = tmp_path / "module.cstar.json"
@@ -213,7 +216,20 @@ def test_malformed_module_payload_is_input_error(tmp_path, capsys, mutate):
     assert main(["verify", str(path)]) == 2
     with pytest.raises(ParseError):
         realize(spec)
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_non_finite_action_entry_is_named_as_such(tmp_path, capsys):
+    """A NaN in an action block is reported as non-finite, not as a shape
+    error, and the file is unreadable input."""
+    spec = load_specfile(FIXTURES / "bimodule_twist_0.cstar.json")
+    spec.payload["mor_map"][0]["blocks"][0][0][0][0] = float("nan")
+    path = tmp_path / "bimodule.cstar.json"
+    path.write_text(json.dumps(spec.to_obj()))  # canonical dumps refuses NaN
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "non-finite" in err and "shape" not in err
 
 
 @pytest.mark.parametrize("entry", [

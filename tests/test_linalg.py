@@ -489,3 +489,52 @@ def test_block_stacks_are_read_in_one_loop():
     is the one reader of block stacks besides the writer ``_set_blocks``."""
     readers = set().union(*(_block_readers(path.read_text()) for path in SRC.glob("*.py")))
     assert readers == {"_blockwise", "_set_blocks"}
+
+
+def _hermitian_parts(source: str, primitive: str | None = None) -> list[int]:
+    """Lines of every ``0.5 * (m + m.conj().T)`` (either operand order)
+    outside the function ``primitive``; an unscaled ``m + m.conj().T`` is
+    not one."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == primitive
+              for node in ast.walk(fn)}
+
+    def adjoint_of(node, m) -> bool:  # node is m.conj().T
+        return (isinstance(node, ast.Attribute) and node.attr == "T"
+                and isinstance(node.value, ast.Call) and not node.value.args
+                and getattr(node.value.func, "attr", None) == "conj"
+                and ast.dump(node.value.func.value) == ast.dump(m))
+
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside or not (isinstance(node, ast.BinOp)
+                                      and isinstance(node.op, ast.Mult)):
+            continue
+        for half, total in ((node.left, node.right), (node.right, node.left)):
+            if (isinstance(half, ast.Constant) and half.value == 0.5
+                    and isinstance(total, ast.BinOp) and isinstance(total.op, ast.Add)
+                    and (adjoint_of(total.right, total.left)
+                         or adjoint_of(total.left, total.right))):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_hermitian_part_scanner_finds_each_form():
+    sample = ("h = 0.5 * (m + m.conj().T)\n"
+              "h = (a.b + a.b.conj().T) * 0.5\n"
+              "h = 0.5 * (np.asarray(m).conj().T + np.asarray(m))\n"
+              "h = comp + comp.conj().T\n"
+              "h = 0.5 * (m + n.conj().T)\n"
+              "def hermitian_part(m):\n"
+              "    return 0.5 * (m + m.conj().T)\n")
+    assert _hermitian_parts(sample, "hermitian_part") == [1, 2, 3]
+    assert _hermitian_parts(sample) == [1, 2, 3, 7]
+
+
+def test_hermitian_parts_come_from_one_function():
+    """Every ``(m + m*) / 2`` in the engine is ``linalg.hermitian_part``."""
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if (lines := _hermitian_parts(path.read_text(),
+                                           "hermitian_part" if path.name == "linalg.py" else None))}
+    assert found == {}

@@ -1,5 +1,5 @@
 """Hilbert modules: products, actions, sums, θ operators, the module
-Yoneda maps, Gram positivity, list evaluation, free covers, splittings."""
+Yoneda maps, Gram positivity, free covers, splittings."""
 
 import numpy as np
 import pytest
@@ -19,9 +19,6 @@ from cstarcat.modules import (
     free_cover,
     gram_matrix,
     inner_product,
-    list_eval_basis,
-    list_inner,
-    list_single_rank,
     representable,
     single_rank,
     split_projection,
@@ -234,55 +231,6 @@ def test_gram_matrix_positive(cat, rng):
     assert min_herm_eig(gram) >= -1e-9 * scale
 
 
-def test_list_evaluation_blockwise_inner(cat, rng):
-    module = random_module(40, cat)
-    ylist = (0, cat.n_objects - 1)
-    basis = list_eval_basis(module, ylist)
-    singleton_dims = [module.eval_dim(y) for y in ylist]
-    assert len(basis) == sum(singleton_dims)
-    u, v = basis[0], basis[-1]
-    blocks = list_inner(u, v)
-    from cstarcat.category import block_slices
-
-    slices = block_slices(cat, ylist)
-    for j in range(len(ylist)):
-        for i in range(len(ylist)):
-            expected = inner_product(u.component(j), v.component(i)).mat
-            assert op_norm(blocks[slices[j], :][:, slices[i]] - expected) <= 1e-12
-
-
-def test_list_single_rank_decomposes(cat, rng):
-    E = random_module(41, cat)
-    F = random_module(42, cat)
-    ylist = (0, 0)
-    ue = list_eval_basis(E, ylist)
-    uf = list_eval_basis(F, ylist)
-    if not ue or not uf:
-        pytest.skip("empty evaluation for this seed")
-    e, f = ue[0], uf[-1]
-    theta = list_single_rank(f, e)
-    summed = sum(
-        single_rank(f.component(j), e.component(j)).block for j in range(len(ylist))
-    )
-    assert op_norm(theta.block - summed) <= 1e-12
-
-
-@pytest.mark.parametrize("bad", [2, 5, -1])
-def test_list_evaluation_rejects_bad_indices(bad):
-    """An object or component index out of range, or negative, is
-    ``InvalidInput``: no bare ``IndexError`` and no wrapped lookup."""
-    from cstarcat.errors import InvalidInput
-    from cstarcat.generators import random_block_category as block_category
-
-    cat2, _ = block_category(3, n_objects=2)
-    module = representable(cat2, 1)
-    with pytest.raises(InvalidInput):
-        list_eval_basis(module, (0, bad))
-    element = list_eval_basis(module, (0, 1))[0]
-    with pytest.raises(InvalidInput):
-        element.component(bad)
-
-
 def test_free_cover_identities(cat):
     module = random_module(43, cat)
     free, phi = free_cover(module)
@@ -437,6 +385,21 @@ def test_eval_basis_matches_projected_column_span():
             for e in basis:
                 assert op_norm(module.proj @ e.col - e.col) <= 1e-10
 
+
+def test_eval_basis_views_one_read_only_stack():
+    """``eval_stack`` is built once per object and cannot be written; the
+    columns of ``eval_basis`` are views of it."""
+    for module in _eval_basis_cases():
+        for at in range(module.cat.n_objects):
+            stack = module.eval_stack(at)
+            assert module.eval_stack(at) is stack
+            assert stack.shape == (module.eval_dim(at), module.total_dim, module.cat.dim(at))
+            basis = module.eval_basis(at)
+            assert len(basis) == len(stack)
+            for i, e in enumerate(basis):
+                assert np.array_equal(e.col, stack[i]) and np.shares_memory(e.col, stack)
+            with pytest.raises(ValueError):
+                stack[...] = 0
 
 
 def test_frame_is_an_orthonormal_factor_of_the_projection():
