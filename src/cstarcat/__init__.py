@@ -26,7 +26,6 @@ from .linalg import (
     psd_check,
     orthonormal_span,
     in_span,
-    range_projection,
 )
 from .report import Check, Report
 from .category import (

@@ -31,7 +31,6 @@ from .modules import (
     HilbertModule,
     ModuleElement,
     ModuleOperator,
-    gram_matrix,
     representable,
     unitary_operator_report,
 )
@@ -196,7 +195,6 @@ def check_nondegenerate(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool
         unit_ok = unit_ok and res <= tol.bound(1.0) * 10
     report.add("unit-acts-as-identity", unit_res, tol.bound(1.0) * 10)
 
-    rank_ok = True
     deficit = 0
     for x in range(src.n_objects):
         module = E.ob(x)
@@ -258,49 +256,53 @@ def tensor_module_bimodule(M: HilbertModule, E: Bimodule) -> TensorModule:
 class QuotientTensor:
     """Quotient-presentation tensor product, used as an independent oracle.
 
-    For each evaluation object it records the generating simple tensors, the
-    assembled block Gram matrix of their formula-defined inner products, and
-    the dimension of the quotient by the Gram radical.  It shares only the
-    bimodule action with the projection construction: per pair of source
-    objects (x, x') the action is applied to all <m, m'> at once, and the
-    Gram block of the m ⊗ e is R_x* · E(<m, m'>) · R_x', with R_x the
-    evaluation basis of E(x) side by side.
+    The generating simple tensors at z are m ⊗ e, m in M's evaluation basis
+    at x and e in E(x)'s at z, and their Gram is w* A w.  ``products`` = A,
+    shared by every z, holds the formula products E(<m, m'>), one block per
+    pair of M's basis elements, from one ``Bimodule._act`` per pair of source
+    objects.  ``frames[z]`` = w is the block diagonal, one block per m, of
+    the fibers' evaluation bases side by side; ``factors[z]`` = r is its QR
+    factor, w* = q r with q orthonormal (one QR per fiber).  So the Gram is
+    q (r A r*) q*, and ``gram[z]`` = r A r* has its norm and nonzero
+    spectrum at the fibers' width.  ``dims[z]`` is the rank of the Frobenius
+    Gram sum_k w_k* A w_k, w_k the k-th column of every generator.  The
+    oracle shares only the bimodule action with the projection route.
     """
 
     def __init__(self, M: HilbertModule, E: Bimodule, tol: Tolerance | None = None):
         if M.cat is not E.source:
             raise InvalidInput("module and bimodule live over different categories")
-        self.M = M
-        self.E = E
+        self.M, self.E = M, E
         self.tol = tol = resolve_tol(tol if tol is not None else M.tol)
         src, dst = E.source, E.target
         objs = range(src.n_objects)
-        # per object, the evaluation basis as columns side by side
-        cols = [s.transpose(1, 0, 2).reshape(s.shape[1], -1) for s in map(M.eval_stack, objs)]
-        acted = {}
-        for x in objs:
-            for xp in objs:
-                p, pp = M.eval_dim(x), M.eval_dim(xp)
-                inner = (cols[x].conj().T @ cols[xp]).reshape(p, src.dim(x), pp, src.dim(xp))
-                acted[x, xp] = E._act(xp, x, inner.transpose(0, 2, 1, 3))
-        self.generators: dict[int, list[tuple[ModuleElement, ModuleElement]]] = {}
-        self.gram: dict[int, np.ndarray] = {}
-        self.dims: dict[int, int] = {}
+        cols = [_side_by_side(M.eval_stack(x)) for x in objs]
+
+        def acted(x, xp):
+            p, pp = M.eval_dim(x), M.eval_dim(xp)
+            inner = (cols[x].conj().T @ cols[xp]).reshape(p, src.dim(x), pp, src.dim(xp))
+            out = E._act(xp, x, inner.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+            return out.reshape(p * out.shape[1], pp * out.shape[3])
+
+        self.products = np.block([[acted(x, xp) for xp in objs] for x in objs])
+        xs = [x for x in objs for _ in range(M.eval_dim(x))]
+        self.generators, self.frames, self.factors, self.gram, self.dims = {}, {}, {}, {}, {}
         for z in range(dst.n_objects):
-            wide = [s.transpose(1, 0, 2).reshape(s.shape[1], -1)
-                    for s in (E.ob(x).eval_stack(z) for x in objs)]
-            blocks = []
-            for x in objs:
-                blocks.append([])
-                for xp in objs:
-                    pair = wide[x].conj().T @ acted[x, xp] @ wide[xp]
-                    p, pp, r, c = pair.shape
-                    blocks[x].append(pair.transpose(0, 2, 1, 3).reshape(p * r, pp * c))
-            gens = [(m, e) for x in objs for m in M.eval_basis(x) for e in E.ob(x).eval_basis(z)]
-            n, dz = len(gens), dst.dim(z)
-            self.generators[z], self.gram[z] = gens, np.block(blocks)
-            scalar = self.gram[z].reshape(n, dz, n, dz).trace(axis1=1, axis2=3)
+            wide = [_side_by_side(E.ob(x).eval_stack(z)) for x in objs]
+            rs = [np.linalg.qr(v.conj().T, mode="r") for v in wide]
+            w = self.frames[z] = _block_diagonal([wide[x] for x in xs])
+            r = self.factors[z] = _block_diagonal([rs[x] for x in xs])
+            self.gram[z] = r @ self.products @ r.conj().T
+            self.generators[z] = [(m, e) for x in objs for m in M.eval_basis(x)
+                                  for e in E.ob(x).eval_basis(z)]
+            dz = dst.dim(z)
+            scalar = sum(w[:, k::dz].conj().T @ self.products @ w[:, k::dz] for k in range(dz))
             self.dims[z] = numerical_rank(np.abs(np.linalg.eigvalsh(scalar)), tol)
+
+
+def _side_by_side(stack: np.ndarray) -> np.ndarray:
+    """A (k, rows, cols) stack as one (rows, k * cols) matrix of columns."""
+    return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
 
 
 def tensor_quotient_oracle(M: HilbertModule, E: Bimodule,
@@ -322,27 +324,37 @@ def tensor_cross_check(M: HilbertModule, E: Bimodule,
 
 
 def _cross_check(tensor: TensorModule, tol: Tolerance) -> Report:
-    """``tensor_cross_check`` on an already built projection tensor."""
-    E = tensor.E
-    oracle = tensor_quotient_oracle(tensor.M, E, tol)
-    report = Report(context="tensor-cross-check")
-    dim_gap = 0
-    spec_res = 0.0
-    entry_res = 0.0
-    for z in range(E.target.n_objects):
+    """``tensor_cross_check`` on an already built projection tensor.
+
+    The realized generators at z are the columns of Z w, w the oracle's frame
+    and Z = P E(B), with B M's evaluation bases side by side (one
+    ``hull_extend`` for every z) and P the tensor's projection.  With w* = q r
+    both Grams are q (.) q*, of (Z r*)* (Z r*) and of r A r*.  As q has
+    orthonormal columns, each check is exact at the fibers' width: the
+    difference keeps its norm, and each spectrum gains only zeros.
+    """
+    M, E = tensor.M, tensor.E
+    oracle = tensor_quotient_oracle(M, E, tol)
+    objs = range(E.source.n_objects)
+    xs = tuple(x for x in objs for _ in range(M.eval_dim(x)))
+    basis = np.concatenate([_side_by_side(M.eval_stack(x)) for x in objs], axis=1)
+    realized = tensor.module.proj @ E.hull_extend(xs, M.base, basis)
+    dim_gap, spec_res, entry_res = 0, 0.0, 0.0
+    for z, gram in oracle.gram.items():
         dim_gap = max(dim_gap, abs(tensor.module.eval_dim(z) - oracle.dims[z]))
-        gens, gram = oracle.generators[z], oracle.gram[z]
-        if not gens:
+        if not oracle.generators[z]:
             continue
-        _, gram2 = gram_matrix(tensor.simple(m, e) for (m, e) in gens)
-        ev1 = np.linalg.eigvalsh(hermitian_part(gram))
-        ev2 = np.linalg.eigvalsh(hermitian_part(gram2))
+        zr = realized @ oracle.factors[z].conj().T
+        gram2 = zr.conj().T @ zr
+        zeros = np.zeros(oracle.frames[z].shape[1] - len(gram))
+        ev1, ev2 = (np.sort(np.concatenate([np.linalg.eigvalsh(hermitian_part(g)), zeros]))
+                    for g in (gram, gram2))
         # the operator norm of the Hermitian oracle Gram is its largest |eigenvalue|
         scale = max(float(np.max(np.abs(ev1))), 1.0)
-        diff = gram2 - gram
-        diff_norm = float(np.max(np.abs(np.linalg.eigvalsh(hermitian_part(diff)))))
+        diff_norm = float(np.max(np.abs(np.linalg.eigvalsh(hermitian_part(gram2 - gram)))))
         entry_res = max(entry_res, diff_norm / scale)
         spec_res = max(spec_res, float(np.max(np.abs(ev1 - ev2))) / scale)
+    report = Report(context="tensor-cross-check")
     report.add("evaluation-dimension-gap", float(dim_gap), 0.5)
     report.add("gram-entry-agreement", entry_res, tol.bound(1.0) * 10)
     report.add("gram-spectrum-agreement", spec_res, tol.bound(1.0) * 10)

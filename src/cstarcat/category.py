@@ -530,7 +530,7 @@ def _block_diagonal(blocks) -> np.ndarray:
     """Block-diagonal matrix of (possibly rectangular) blocks."""
     blocks = list(blocks)
     rows, cols = (_size_slices([b.shape[k] for b in blocks]) for k in (0, 1))
-    out = np.zeros((rows[-1].stop, cols[-1].stop), dtype=np.complex128)
+    out = np.zeros([sum(b.shape[k] for b in blocks) for k in (0, 1)], dtype=np.complex128)
     for r, c, b in zip(rows, cols, blocks):
         out[r, c] = b
     return out

@@ -42,7 +42,6 @@ __all__ = [
     "span_project",
     "span_residual",
     "in_span",
-    "range_projection",
     "random_complex",
 ]
 
@@ -345,16 +344,6 @@ def in_span(m, basis: np.ndarray, tol: Tolerance | None = None) -> np.ndarray | 
     if frobenius_norm(arr - recon) > tol.bound(frobenius_norm(arr)):
         return None
     return coords
-
-
-def range_projection(m, tol: Tolerance | None = None) -> np.ndarray:
-    """Hermitian projection onto the column space of ``m``.
-
-    Columns are kept for the ``numerical_rank`` leading singular values.
-    """
-    u, s, _ = np.linalg.svd(as_cmatrix(m), full_matrices=False)
-    keep = u[:, :numerical_rank(s, tol)]
-    return keep @ keep.conj().T
 
 
 def random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

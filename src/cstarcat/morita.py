@@ -36,6 +36,7 @@ from .bimodules import (
     Bimodule,
     BimoduleMap,
     _cross_check,
+    _side_by_side,
     _whiskered_component,
     tensor_bimodule_bimodule,
     tensor_cross_check,  # noqa: F401  (perfbench/selftest.py reads it from this module)
@@ -192,9 +193,7 @@ def check_full(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool, Report]
     tol = resolve_tol(tol if tol is not None else E.tol)
     dst = E.target
     report = Report(context="fullness")
-    # per fiber and target object, the evaluation basis as columns side by side
-    wide = [[s.transpose(1, 0, 2).reshape(s.shape[1], -1)
-             for s in map(E.ob(x).eval_stack, range(dst.n_objects))]
+    wide = [[_side_by_side(E.ob(x).eval_stack(y)) for y in range(dst.n_objects)]
             for x in range(E.source.n_objects)]
     deficit = 0
     for y in range(dst.n_objects):

@@ -7,6 +7,7 @@ import pytest
 
 from cstarcat.bimodules import (
     Bimodule,
+    TensorModule,
     associator,
     check_nondegenerate,
     left_unitor,
@@ -29,8 +30,9 @@ from cstarcat.generators import (
     random_module,
     unitary_twist_functor,
 )
-from cstarcat.linalg import op_norm
-from cstarcat.modules import HilbertModule, direct_sum, inner_product, representable, single_rank
+from cstarcat.linalg import hermitian_part, numerical_rank, op_norm
+from cstarcat.modules import (HilbertModule, direct_sum, gram_matrix, inner_product,
+                              representable, single_rank)
 
 from conftest import matrix_units
 
@@ -340,6 +342,20 @@ def _disconnected_category():
     )
 
 
+def _bimodule_of_kind(kind, cat, seed):
+    """The criterion-9 bimodules: Yoneda, a twist, a twist tensored with
+    Yoneda, and the doubled Yoneda bimodule."""
+    return {
+        "yoneda": lambda: yoneda_bimodule(cat),
+        "twist": lambda: bimodule_from_functor(unitary_twist_functor(cat, seed=9100 + seed)),
+        "twist-yoneda": lambda: tensor_bimodule_bimodule(
+            bimodule_from_functor(unitary_twist_functor(cat, seed=9200 + seed)),
+            yoneda_bimodule(cat),
+        ),
+        "double-yoneda": lambda: _double_yoneda(cat),
+    }[kind]()
+
+
 @pytest.mark.parametrize("kind", ["yoneda", "twist", "twist-yoneda", "double-yoneda"])
 @pytest.mark.parametrize("case", range(3))
 def test_quotient_oracle_matches_pairwise_reference(kind, case):
@@ -351,23 +367,103 @@ def test_quotient_oracle_matches_pairwise_reference(kind, case):
         rng = np.random.default_rng(case)
         M = HilbertModule(cat, (0, 0), random_block_projection(rng, cat, (0, 0)))
         assert not M.eval_basis(1)
-    E = {
-        "yoneda": lambda: yoneda_bimodule(cat),
-        "twist": lambda: bimodule_from_functor(unitary_twist_functor(cat, seed=9100 + case)),
-        "twist-yoneda": lambda: tensor_bimodule_bimodule(
-            bimodule_from_functor(unitary_twist_functor(cat, seed=9200 + case)),
-            yoneda_bimodule(cat),
-        ),
-        "double-yoneda": lambda: _double_yoneda(cat),
-    }[kind]()
+    E = _bimodule_of_kind(kind, cat, case)
     grams, dims = _reference_quotient_gram(M, E)
     oracle = tensor_quotient_oracle(M, E)
+    A = oracle.products
     for z in range(cat.n_objects):
+        w, r = oracle.frames[z], oracle.factors[z]
         assert oracle.dims[z] == dims[z]
-        assert oracle.gram[z].shape == grams[z].shape
+        assert w.shape[1] == grams[z].shape[0]
+        assert oracle.gram[z].shape == (r.shape[0], r.shape[0])
         if grams[z].size:
             scale = max(float(np.max(np.abs(grams[z]))), 1.0)
-            assert np.max(np.abs(oracle.gram[z] - grams[z])) <= 1e-12 * scale
+            assert np.max(np.abs(w.conj().T @ A @ w - grams[z])) <= 1e-12 * scale
+            assert np.max(np.abs(r.conj().T @ r - w @ w.conj().T)) <= 1e-12
+            assert np.max(np.abs(oracle.gram[z] - r @ A @ r.conj().T)) <= 1e-12 * scale
+
+
+def _full_width_cross_check(M, E):
+    """The cross-check on the full-width Grams of the N·dim(z) generator
+    columns: the oracle Gram w* A w, the columns realized one simple tensor
+    at a time, and three full ``eigvalsh`` per evaluation object."""
+    tensor = tensor_module_bimodule(M, E)
+    oracle = tensor_quotient_oracle(M, E)
+    gap, entry, spec = 0, 0.0, 0.0
+    for z in range(E.target.n_objects):
+        gens, w = oracle.generators[z], oracle.frames[z]
+        n, dz = len(gens), E.target.dim(z)
+        gram = w.conj().T @ oracle.products @ w
+        scalar = gram.reshape(n, dz, n, dz).trace(axis1=1, axis2=3)
+        dim = numerical_rank(np.abs(np.linalg.eigvalsh(scalar)), M.tol)
+        gap = max(gap, abs(tensor.module.eval_dim(z) - dim))
+        if not gens:
+            continue
+        _, gram2 = gram_matrix(tensor.simple(m, e) for (m, e) in gens)
+        ev1 = np.linalg.eigvalsh(hermitian_part(gram))
+        ev2 = np.linalg.eigvalsh(hermitian_part(gram2))
+        scale = max(float(np.max(np.abs(ev1))), 1.0)
+        diff = np.linalg.eigvalsh(hermitian_part(gram2 - gram))
+        entry = max(entry, float(np.max(np.abs(diff))) / scale)
+        spec = max(spec, float(np.max(np.abs(ev1 - ev2))) / scale)
+    return {"evaluation-dimension-gap": float(gap), "gram-entry-agreement": entry,
+            "gram-spectrum-agreement": spec}
+
+
+def _criterion_7_pair(seed):
+    cat, _ = random_block_category(seed % 20, n_objects=2)
+    return (random_module(8000 + seed, cat, max_base=2),
+            bimodule_from_functor(unitary_twist_functor(cat, seed=8100 + seed)))
+
+
+def _criterion_9_pair(seed, j):
+    cat, _ = random_block_category(seed % 12, n_objects=2)
+    kind = ["yoneda", "twist", "twist-yoneda", "double-yoneda"][j]
+    return random_module(9300 + 4 * seed + j, cat, max_base=2), _bimodule_of_kind(kind, cat, seed)
+
+
+@pytest.mark.parametrize("pair", [
+    *(("criterion-7", seed) for seed in (1, 9, 14, 38)),
+    *(("criterion-9", seed, j) for seed in (1, 5, 9, 21) for j in range(4)),
+], ids=lambda pair: "-".join(map(str, pair)))
+def test_frame_width_cross_check_matches_full_width_reference(pair):
+    # seed 1 of criterion 9 has generator Grams up to 408 wide on a frame of 52;
+    # criterion-7 seeds 9 and 38 and criterion-9 seed 21 have objects with no generators
+    M, E = _criterion_7_pair(*pair[1:]) if pair[0] == "criterion-7" else _criterion_9_pair(*pair[1:])
+    reference = _full_width_cross_check(M, E)
+    report = tensor_cross_check(M, E)
+    assert report.passed, str(report)
+    checks = {c.name: c.residual for c in report.checks}
+    assert checks.keys() == reference.keys()
+    assert checks["evaluation-dimension-gap"] == reference["evaluation-dimension-gap"]
+    for name in ("gram-entry-agreement", "gram-spectrum-agreement"):
+        assert abs(checks[name] - reference[name]) <= 1e-12
+
+
+def test_cross_check_extends_once_and_realizes_no_simple_tensor(cat, monkeypatch):
+    # the realized generators are one extension of M's evaluation bases, for
+    # every evaluation object at once, not one simple tensor at a time
+    E = bimodule_from_functor(unitary_twist_functor(cat, seed=5))
+    M = random_module(97, cat)
+    calls = {"hull_extend": 0, "simple": 0}
+    hull_extend, simple = Bimodule.hull_extend, TensorModule.simple
+
+    def counting_hull_extend(self, *args):
+        calls["hull_extend"] += 1
+        return hull_extend(self, *args)
+
+    def counting_simple(self, *args):
+        calls["simple"] += 1
+        return simple(self, *args)
+
+    monkeypatch.setattr(Bimodule, "hull_extend", counting_hull_extend)
+    monkeypatch.setattr(TensorModule, "simple", counting_simple)
+    tensor_module_bimodule(M, E)
+    built, calls["hull_extend"] = calls["hull_extend"], 0
+    report = tensor_cross_check(M, E)
+    assert report.passed, str(report)
+    assert any(tensor_quotient_oracle(M, E).generators.values())
+    assert calls == {"hull_extend": built + 1, "simple": 0}
 
 
 def _reference_hull_extend(E, src_list, dst_list, block):

@@ -6,6 +6,7 @@ import pytest
 from cstarcat.category import (
     CStarCategory,
     CStarFunctor,
+    _block_diagonal,
     _block_view,
     _layout,
     _set_blocks,
@@ -415,6 +416,19 @@ def test_block_project_tells_shape_from_non_finite_entries():
     with pytest.raises(InvalidInput, match="non-finite") as nan:
         block_project(cat, (1,), (1,), stack)
     assert "shape" not in str(nan.value)
+
+
+@pytest.mark.parametrize("shapes", [[], [(0, 0)], [(2, 0), (0, 3)], [(1, 2), (0, 0), (3, 1)]])
+def test_block_diagonal_places_each_block(shapes):
+    rng = np.random.default_rng(4)
+    blocks = [rng.standard_normal(s) for s in shapes]
+    out = _block_diagonal(blocks)
+    assert out.shape == (sum(s[0] for s in shapes), sum(s[1] for s in shapes))
+    r = c = 0
+    for b in blocks:
+        assert np.array_equal(out[r:r + b.shape[0], c:c + b.shape[1]], b)
+        r, c = r + b.shape[0], c + b.shape[1]
+    assert np.count_nonzero(out) == sum(np.count_nonzero(b) for b in blocks)
 
 
 def _reference_closure(cat):

@@ -20,7 +20,6 @@ from cstarcat.linalg import (
     orthonormal_span,
     psd_check,
     random_complex,
-    range_projection,
     span_coords,
     span_eval,
     span_residual,
@@ -173,25 +172,6 @@ def test_in_span_least_squares_oracle():
     flat = basis.reshape(basis.shape[0], -1).T
     lstsq = np.linalg.lstsq(flat, target.ravel(), rcond=None)[0]
     assert np.allclose(coords, lstsq, atol=1e-9)
-
-
-def test_range_projection_fixes_projections():
-    p = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert np.allclose(range_projection(p), p)
-
-
-def test_range_projection_zero():
-    assert np.allclose(range_projection(np.zeros((3, 2))), np.zeros((3, 3)))
-
-
-def test_range_projection_defining_identities():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        m = random_complex(rng, 4, 3)
-        p = range_projection(m)
-        assert op_norm(p @ m - m) <= 1e-9 * max(op_norm(m), 1.0)
-        assert op_norm(p @ p - p) <= 1e-10
-        assert op_norm(p - p.conj().T) <= 1e-10
 
 
 def test_tolerance_bound():
