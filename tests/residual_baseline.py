@@ -4,9 +4,15 @@ For each workload seed, runs every instance of the workload once (as
 ``perfbench/workloads.py`` defines it) and prints the SHA-256 of the
 sequence of ``(check.name, repr(check.residual))`` over all of its checks,
 with ``margin_digits``: the smallest ``log10(threshold / residual)`` of the
-pass.  ``--save`` writes the per-check residuals to a JSON file; ``--diff``
-prints, per seed, every check whose residual differs from such a file (saved
-from another commit, say).  It reads no git state.
+pass.  The hash also covers two reports a workload drops, each check named
+after its report's context: for ``morita`` the ``check_imprimitivity``
+report of each instance's matrix-algebra bimodule, for ``reconstruction``
+the full ``eilenberg_watts_map`` report (the spectrum agreement and the
+comparison's unitarity checks among them).  ``margin_digits`` reads the
+workload's own checks only, as the benchmark does.  ``--save`` writes the
+per-check residuals to a JSON file; ``--diff`` prints, per seed, every check
+whose residual differs from such a file (saved from another commit, say).
+It reads no git state.
 
     PYTHONPATH=src python3 tests/residual_baseline.py --workload morita \
         --seeds 3,7,11,1101 [--save F] [--diff F]
@@ -33,17 +39,33 @@ ROOT = Path(__file__).resolve().parent.parent
 MARGIN_CAP = 16.0  # as in perfbench/run.py: a zero residual counts as 16 digits
 
 
-def seed_checks(workloads, name: str, seed: int) -> list[tuple[str, str, float, float]]:
+def dropped_report(name: str, outputs):
+    """The report of one instance that the workload's checks leave out, or None."""
+    from cstarcat import morita
+
+    if name == "morita":
+        _, data = morita.mat_equivalence(outputs[0])
+        return morita.check_imprimitivity(data.bimodule)[1]
+    if name == "reconstruction":
+        _, M, E, _ = outputs
+        return morita.eilenberg_watts_map(M, E)[1]
+    return None
+
+
+def seed_checks(workloads, name: str, seed: int):
     """(instance label, check name, residual, threshold) of every check of
-    one pass, in order."""
+    one pass, in order: the workload's own checks, then the dropped ones."""
     workload = workloads.WORKLOADS[name]()
     with tempfile.TemporaryDirectory() as workdir:
         instances = workload.generate(workload.choose(seed), Path(workdir))
-        out = []
+        own, dropped = [], []
         for inst in instances:
-            report, _ = workload.run(inst)
-            out += [(inst.label, c.name, c.residual, c.threshold) for c in report.checks]
-    return out
+            report, outputs = workload.run(inst)
+            own += [(inst.label, c.name, c.residual, c.threshold) for c in report.checks]
+            extra = dropped_report(name, outputs)
+            dropped += [(inst.label, f"{extra.context}:{c.name}", c.residual, c.threshold)
+                        for c in (extra.checks if extra else ())]
+    return own, dropped
 
 
 def margin_digits(checks) -> float:
@@ -71,10 +93,11 @@ def main(argv=None) -> int:
     saved = json.loads(Path(args.diff).read_text()) if args.diff else {}
     result = {}
     for seed in (int(s) for s in args.seeds.split(",")):
-        checks = seed_checks(workloads, args.workload, seed)
+        own, dropped = seed_checks(workloads, args.workload, seed)
+        checks = own + dropped
         result[str(seed)] = [[f"{label}: {name}", r] for label, name, r, _ in checks]
         print(f"{args.workload} seed={seed} checks={len(checks)} "
-              f"sha256={residual_hash(checks)} margin_digits={margin_digits(checks):.4f}")
+              f"sha256={residual_hash(checks)} margin_digits={margin_digits(own):.4f}")
         if str(seed) in saved:
             old = saved[str(seed)]
             if [n for n, _ in old] != [n for n, _ in result[str(seed)]]:

@@ -770,3 +770,97 @@ def test_tensor_action_matches_frame_free_compression(case):
             for g, b in zip(got, E.mor_stack(x, y)):
                 ref = F.hull_extend(fx.base, fy.base, fy.proj @ b @ fx.proj)
                 assert np.max(np.abs(g - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+def _eager_tensor_blocks(T):
+    """The action stacks of E ⊗ F as they were built when the tensor was
+    constructed: one extension of V_y c V_x* per basis element."""
+    E, F, n = T.left, T.right, T.source.n_objects
+    out = {}
+    for x in range(n):
+        for y in range(n):
+            fx, fy = E.ob(x), E.ob(y)
+            blocks = E.mor_stack(x, y)
+            stack = np.zeros((blocks.shape[0], T.ob(y).total_dim, T.ob(x).total_dim),
+                             dtype=np.complex128)
+            for i, c in enumerate(fy.frame.conj().T @ blocks @ fx.frame):
+                F._extend_into(stack[i], fx.base, fy.base, fy.frame @ c @ fx.frame.conj().T)
+            out[(x, y)] = stack
+    return out
+
+
+@pytest.mark.parametrize("case", ["seed4-E-conj", "seed4-conj-E", "twist-yoneda", "double-yoneda",
+                                  "uncompressed"])
+def test_tensor_stacks_are_built_on_first_read(case):
+    T = tensor_bimodule_bimodule(*_tensor_case(case))
+    assert "_blocks" not in T.__dict__
+    ref = _eager_tensor_blocks(T)
+    assert "_blocks" not in T.__dict__
+    n = T.source.n_objects
+    got = {(x, y): T.mor_stack(x, y) for x in range(n) for y in range(n)}
+    assert "_blocks" in T.__dict__
+    assert got.keys() == ref.keys()
+    for key, stack in ref.items():
+        assert np.array_equal(got[key], stack)
+
+
+@pytest.mark.parametrize("case", ["seed4-E-conj", "seed4-conj-E", "twist-yoneda", "double-yoneda",
+                                  "uncompressed"])
+def test_left_act_matches_row_times_stack(case):
+    # R · b for every block b, through the factors, without the tensor's stacks
+    T = tensor_bimodule_bimodule(*_tensor_case(case))
+    stacks = _eager_tensor_blocks(T)  # equal to T.mor_stack (test above)
+    rng = np.random.default_rng(8)
+    for (x, y), stack in stacks.items():
+        for rows in (1, 5):
+            R = rng.standard_normal((rows, T.ob(y).total_dim)) \
+                + 1j * rng.standard_normal((rows, T.ob(y).total_dim))
+            got, ref = T.left_act(R, x, y), R @ stack
+            assert got.shape == ref.shape
+            if ref.size:
+                assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+    assert "_blocks" not in T.__dict__
+
+
+def test_left_act_through_a_tensor_factor(cat):
+    # the right factor is itself a tensor (its stacks are built when T's
+    # fibers extend through it); T's own stacks are not
+    twist = bimodule_from_functor(unitary_twist_functor(cat, seed=12))
+    inner = tensor_bimodule_bimodule(twist, yoneda_bimodule(cat))
+    T = tensor_bimodule_bimodule(twist, inner)
+    rng = np.random.default_rng(9)
+    R = rng.standard_normal((3, T.ob(1).total_dim))
+    got = T.left_act(R, 0, 1)
+    assert "_blocks" not in T.__dict__ and "_blocks" in inner.__dict__
+    ref = R @ T.mor_stack(0, 1)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+
+
+def test_left_act_rejects_a_row_of_the_wrong_width(cat):
+    from cstarcat.errors import InvalidInput
+
+    E = yoneda_bimodule(cat)
+    T = tensor_bimodule_bimodule(E, E)
+    for B in (E, T):
+        with pytest.raises(InvalidInput):
+            B.left_act(np.ones((2, B.ob(1).total_dim + 1)), 0, 1)
+
+
+def test_bimodule_map_rejects_components_between_other_fibers():
+    """Component x must map dom(x) to cod(x): swapped identities used to be
+    accepted, then failed naturality with a bare numpy error."""
+    from cstarcat.bimodules import BimoduleMap
+    from cstarcat.errors import InvalidInput
+    from cstarcat.modules import ModuleOperator
+
+    base, _ = random_block_category(3, n_objects=2)
+    Y = yoneda_bimodule(base)
+    with pytest.raises(InvalidInput):
+        BimoduleMap(Y, Y, [Y.ob(1).identity(), Y.ob(0).identity()])
+    with pytest.raises(InvalidInput):
+        BimoduleMap(Y, Y, [Y.ob(0).identity(), Y.ob(1).proj])
+    into_other = ModuleOperator(Y.ob(0), Y.ob(1), np.zeros((base.dim(1), base.dim(0))))
+    with pytest.raises(InvalidInput):
+        BimoduleMap(Y, Y, [into_other, Y.ob(1).identity()])
+    tau = BimoduleMap(Y, Y, [representable(base, x).identity() for x in range(2)])
+    assert tau.verify_natural().passed and tau.unitary_report().passed

@@ -977,6 +977,58 @@ def test_morita_builds_stay_within_their_output_memory():
         assert peak <= bound * kept(built, with_fibers)
 
 
+def test_tensor_stacks_built_on_first_read_stay_within_their_memory():
+    # a tensor builds its action stacks on first read, one extension per
+    # basis element: the build's peak stays near the stacks it keeps
+    import tracemalloc
+
+    from cstarcat.bimodules import tensor_bimodule_bimodule
+
+    cat, _ = random_block_category(4, n_objects=2, max_mult=2)
+    _, data = mat_equivalence(cat)
+    E, conj = data.bimodule, conjugate_bimodule(data).bimodule
+    for T in (tensor_bimodule_bimodule(E, conj), tensor_bimodule_bimodule(conj, E)):
+        objs = range(T.source.n_objects)
+        tracemalloc.start()
+        try:
+            T.mor_stack(0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * sum(T.mor_stack(x, y).nbytes for x in objs for y in objs)
+
+
+def _criterion_8_pipeline(seed):
+    cat, _ = random_block_category(seed, n_objects=2, max_mult=2)
+    _, data = mat_equivalence(cat)
+    conj = conjugate_bimodule(data)
+    maps = morita_target_map(data, conj), morita_source_map(data, conj)
+    for m in maps:
+        assert m.verify_natural().passed and m.unitary_report().passed
+    return maps
+
+
+def test_witness_checks_build_no_tensor_stacks():
+    # E ⊗ conj(E) on criterion-8 seed 4 is 350 wide; its naturality goes
+    # through the factors, so neither domain builds its action stacks
+    phi, psi = _criterion_8_pipeline(4)
+    assert max(f.total_dim for f in psi.dom.ob_map) == 350
+    assert "_blocks" not in phi.dom.__dict__ and "_blocks" not in psi.dom.__dict__
+
+
+def test_criterion_8_worst_seed_stays_within_its_memory():
+    # the witness checks used to set the peak of this pass at 83.4 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        _criterion_8_pipeline(4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
+
+
 def _equal_fiber_bimodule():
     """Two one-dimensional source objects with every hom-space ℂ, acting on
     two equal fibers over a one-object target: hom(0, 1) acts by i and
