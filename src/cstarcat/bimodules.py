@@ -95,7 +95,13 @@ class Bimodule:
         return self.ob_map[self.source.check_object(x)]
 
     def mor_stack(self, x: int, y: int) -> np.ndarray:
-        return self._blocks[self.source.check_object(x), self.source.check_object(y)]
+        return self._stack(self.source.check_object(x), self.source.check_object(y))
+
+    def _stack(self, x: int, y: int) -> np.ndarray:
+        """hom(x, y)'s stack (checked indices), built by ``_build`` on first read."""
+        if (x, y) not in self._blocks:
+            self._blocks[x, y] = self._build(x, y)
+        return self._blocks[x, y]
 
     def mor(self, a: Morphism) -> ModuleOperator:
         """Linear extension of the basis action to an arbitrary morphism."""
@@ -109,10 +115,14 @@ class Bimodule:
         dim E(x)) stack, from an (r, dim E(y)) matrix ``row``."""
         return as_cmatrix(row, cols=self.ob(y).total_dim) @ self.mor_stack(x, y)
 
+    def _compressed(self, x: int, y: int) -> np.ndarray:
+        """V_y* · b · V_x for every block b of hom(x, y), V the fibers' range frames."""
+        return self.ob(y).frame.conj().T @ self.mor_stack(x, y) @ self.ob(x).frame
+
     def _act(self, x: int, y: int, mat) -> np.ndarray:
         """The action on one matrix of hom(x, y) or a (..., dim(y), dim(x))
         stack, as (..., dy, dx) blocks: coordinates times the block stack."""
-        return span_eval(self.source.hom_coords(x, y, mat), self._blocks[(x, y)])
+        return span_eval(self.source.hom_coords(x, y, mat), self._stack(x, y))
 
     def hull_extend(self, src_list, dst_list, block) -> np.ndarray:
         """Apply the action blockwise to a block matrix over object lists.
@@ -374,62 +384,64 @@ class BimoduleTensor(Bimodule):
     A block b of E acts as F's extension of P_y · b · P_x, P the projections
     of E's fibers: F extends P to the tensor's projection as a *-functor, so
     this is the extended b between tensor projections, at E's smaller size.
-    The compression multiplies through the fibers' range frames.  The action
-    stacks are built on first read, one extension per basis element;
+    The compression multiplies through the fibers' range frames.  A pair's
+    action stack is built on first read, one extension per basis element;
     ``left_act`` goes through the factors and builds none.
     """
 
     def __init__(self, E: Bimodule, F: Bimodule):
         if E.target is not F.source:
             raise InvalidInput("tensor factors do not compose")
-        self.left = E
-        self.right = F
-        self.ob_tensors = [
-            tensor_module_bimodule(E.ob(x), F) for x in range(E.source.n_objects)
-        ]
+        self.left, self.right = E, F
+        self.ob_tensors = [tensor_module_bimodule(E.ob(x), F) for x in range(E.source.n_objects)]
         self.source, self.target, self.tol = E.source, F.target, E.tol
         self.ob_map = [t.module for t in self.ob_tensors]
 
     @cached_property
-    def _blocks(self) -> dict:
-        E, F, ob_map = self.left, self.right, self.ob_map
-        mor_blocks = {}
-        for x in range(E.source.n_objects):
-            for y in range(E.source.n_objects):
-                fx, fy = E.ob(x), E.ob(y)
-                blocks = E.mor_stack(x, y)
-                stack = np.zeros((blocks.shape[0], ob_map[y].total_dim, ob_map[x].total_dim),
-                                 dtype=np.complex128)
-                for i, c in enumerate(fy.frame.conj().T @ blocks @ fx.frame):
-                    F._extend_into(stack[i], fx.base, fy.base, fy.frame @ c @ fx.frame.conj().T)
-                mor_blocks[(x, y)] = stack
-        return _pair_stacks(E.source, mor_blocks, [m.total_dim for m in ob_map], "action blocks")
+    def _blocks(self) -> dict:  # filled by _stack, one pair at a time
+        return {}
+
+    def _build(self, x: int, y: int) -> np.ndarray:
+        fx, fy, compressed = self.left.ob(x), self.left.ob(y), self.left._compressed(x, y)
+        stack = np.zeros((len(compressed), self.ob_map[y].total_dim, self.ob_map[x].total_dim),
+                         dtype=np.complex128)
+        for i, c in enumerate(compressed):
+            self.right._extend_into(stack[i], fx.base, fy.base, fy.frame @ c @ fx.frame.conj().T)
+        return stack
 
     def left_act(self, row, x: int, y: int) -> np.ndarray:
-        """``row @ b`` through the factors.  With Z = V_y c V_x* the block of
-        E compressed through its fibers' frames, R · F(Z) is the sum over the
-        block pairs (j, l) of Z of span_eval(hom_coords(Z_jl), R_j · F's
-        blocks), R_j the columns of R at entry j of E(y)'s base: one row
-        block of height r per entry, summed over the entries."""
+        """``row @ b`` through the factors.  With Z = V_y c V_x*, c = E's
+        ``_compressed`` block, R · F(Z) is the sum over the block pairs (j, l)
+        of Z of span_eval(hom_coords(Z_jl), R_j · F's blocks), R_j the columns
+        of R at entry j of E(y)'s base.  The entries go in runs whose rows of Z
+        and row blocks (height r per entry) hold at most 2**16 entries (1 MiB),
+        or one entry each, so a large Z is never formed whole."""
         E, F, src = self.left, self.right, self.right.source
         row = as_cmatrix(row, cols=self.ob(y).total_dim)
         fx, fy, r, n = E.ob(x), E.ob(y), row.shape[0], len(E.ob(y).base)
-        z = fy.frame @ (fy.frame.conj().T @ E.mor_stack(x, y) @ fx.frame) @ fx.frame.conj().T
-        fibers = F._fiber_layout(fy.base)
+        c, fibers, dx = E._compressed(x, y), F._fiber_layout(fy.base), self.ob(x).total_dim
+        out = np.zeros((len(c), r, dx), dtype=np.complex128)
+        step = max(1, 2**16 * n // max(1, len(c) * (fy.total_dim * fx.total_dim + n * r * dx)))
 
-        def act(xp, yp, blocks):  # blocks: (k, n_r, n_c, dim yp, dim xp)
-            (k, n_r, n_c), dx = blocks.shape[:3], F.ob(xp).total_dim
-            rows = row[:, fibers.plan[yp].idx].transpose(1, 0, 2).reshape(n_r * r, -1)
+        def act(xp, yp, blocks):  # blocks: (k, n_r, n_c, dim yp, dim xp) of the run
+            (k, n_r, n_c), d = blocks.shape[:3], F.ob(xp).total_dim
+            rows = run_row[:, plan[yp].idx].transpose(1, 0, 2).reshape(n_r * r, -1)
             acted = F.left_act(rows, xp, yp)
-            acted = acted.reshape(len(acted), n_r, r * dx).transpose(1, 0, 2)
+            acted = acted.reshape(len(acted), n_r, r * d).transpose(1, 0, 2)
             coords = src.hom_coords(xp, yp, blocks).transpose(1, 0, 2, 3)
-            out = coords.reshape(n_r, k * n_c, -1) @ acted
-            return out.reshape(n_r, k, n_c, r, dx).transpose(1, 0, 2, 3, 4)
+            prod = coords.reshape(n_r, k * n_c, -1) @ acted
+            return prod.reshape(n_r, k, n_c, r, d).transpose(1, 0, 2, 3, 4)
 
-        out = np.zeros((len(z), n * r, self.ob(x).total_dim), dtype=np.complex128)
-        _blockwise(src, act, z, out, _layout(src, fx.base), _layout(src, fy.base),
-                   F._fiber_layout(fx.base), _layout(src, fy.base, [r] * n))
-        return out.reshape(len(z), n, r, out.shape[-1]).sum(axis=1)
+        for lo in range(0, n, step):
+            run, hi = fy.base[lo:lo + step], min(lo + step, n) - 1
+            run_row = row[:, fibers.slices[lo].start:fibers.slices[hi].stop]
+            plan = F._fiber_layout(run).plan
+            z = fy.frame[fy.slices[lo].start:fy.slices[hi].stop] @ c @ fx.frame.conj().T
+            piece = np.zeros((len(c), len(run) * r, dx), dtype=np.complex128)
+            _blockwise(src, act, z, piece, _layout(src, fx.base), _layout(src, run),
+                       F._fiber_layout(fx.base), _layout(src, run, [r] * len(run)))
+            out += piece.reshape(len(c), len(run), r, dx).sum(axis=1)
+        return out
 
 
 def tensor_bimodule_bimodule(E: Bimodule, F: Bimodule) -> BimoduleTensor:
@@ -463,9 +475,9 @@ class BimoduleMap:
         src = self.dom.source
         for x in range(src.n_objects):
             for y in range(src.n_objects):
-                # comp_y · dom(b) through left_act: a tensor domain builds no stack
-                lhs = self.cod.mor_stack(x, y) @ self.components[x].block
-                lhs -= self.dom.left_act(self.components[y].block, x, y)
+                # comp_y · dom(b) first, through left_act: a tensor domain builds no stack
+                lhs = self.dom.left_act(self.components[y].block, x, y)
+                np.subtract(self.cod.mor_stack(x, y) @ self.components[x].block, lhs, out=lhs)
                 res = max(res, np.max(op_norms(lhs), initial=0.0))
         report.add("naturality", float(res), tol.bound(1.0) * 10)
         return report

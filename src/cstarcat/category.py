@@ -81,8 +81,8 @@ def _pair_stacks(cat: "CStarCategory", mapping, sizes, what: str) -> dict:
     """Every (x, y) -> stack of a (src, dst)-keyed mapping over the objects
     of ``cat``, checked to have shape (hom_dim(x, y), sizes[y], sizes[x]).
     A pair may be missing (or empty) only where its hom-space is empty.  A
-    complex ndarray is kept as it is, not copied: the largest stacks, a
-    bimodule tensor's (built on first read), are the engine's own."""
+    complex ndarray is kept as it is, not copied.  The largest stacks, a
+    tensor's and the conjugate's, are built per pair on first read instead."""
     _check_pair_keys(mapping, cat.n_objects, what)
     out = {}
     for x in range(cat.n_objects):

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, NotInvertible
-from .linalg import (Tolerance, frac_power, hermitian_part, numerical_rank, op_norm, op_norms,
-                     psd_eigh, resolve_tol, span_eval)
+from .linalg import (Tolerance, as_cmatrix, frac_power, hermitian_part, numerical_rank, op_norm,
+                     op_norms, psd_eigh, resolve_tol, span_eval)
 from .category import (
     CStarCategory,
     MatrixAlgebra,
@@ -285,6 +285,32 @@ def check_imprimitivity(E: Bimodule, tol: Tolerance | None = None,
 # the conjugate bimodule
 
 
+class _FactoredAction(Bimodule):
+    """The conjugate's action, factored: block i of hom(y, y') is left_y' ·
+    cores[y, y'][i] · right_y, left = S·root, right = (S/root)*, S a fiber's
+    frame.  A pair's stack is built on first read; ``left_act`` builds none."""
+
+    def __init__(self, source, target, ob_map, roots, cores, tol):
+        self.source, self.target, self.tol, self.ob_map = source, target, tol, ob_map
+        self.roots, self.cores, self._blocks = roots, cores, {}
+        self.left = [m.frame * roots[y] for y, m in enumerate(ob_map)]
+        self.right = [(m.frame / roots[y]).conj().T for y, m in enumerate(ob_map)]
+
+    def _build(self, y: int, yp: int) -> np.ndarray:
+        core, shape = self.cores[y, yp], (self.ob_map[yp].total_dim, self.ob_map[y].total_dim)
+        stack = np.empty((len(core), *shape), dtype=np.complex128)
+        for i, c in enumerate(core):
+            stack[i] = self.left[yp] @ c @ self.right[y]
+        return stack
+
+    def left_act(self, row, x: int, y: int) -> np.ndarray:
+        row = as_cmatrix(row, cols=self.ob(y).total_dim)
+        return ((row @ self.left[y]) @ self.cores[x, y]) @ self.right[x]
+
+    def _compressed(self, x: int, y: int) -> np.ndarray:
+        return self.roots[y][:, None] * self.cores[x, y] / self.roots[x]
+
+
 class ConjugateBimodule:
     """Conjugate of an imprimitivity bimodule, with element translations.
 
@@ -294,7 +320,9 @@ class ConjugateBimodule:
     the conjugate of the α-th basis element.  A target morphism b acts as
     sqrt · Λ_b · isqrt with Λ_b its conjugated coefficient pattern; this
     needs no compression by the supports, since supp · sqrt = sqrt and
-    isqrt · supp = isqrt.  ``element_of`` and ``element_to`` translate
+    isqrt · supp = isqrt.  ``bimodule`` keeps it factored, as the small
+    cores S'* Λ_b S with S the support's frame, and builds a full stack
+    only on first read.  ``element_of`` and ``element_to`` translate
     between presentation columns and the elements of the original bimodule
     they conjugate.
     """
@@ -308,30 +336,18 @@ class ConjugateBimodule:
         self.gens: dict[int, list[ModuleElement]] = {}
         self.gen_objects: dict[int, tuple[int, ...]] = {}
         self.supp: dict[int, np.ndarray] = {}
-        self.sqrt: dict[int, np.ndarray] = {}
-        self.isqrt: dict[int, np.ndarray] = {}
         roots: dict[int, np.ndarray] = {}
         ob_map = []
         for y in range(dst.n_objects):
             self.gens[y] = gens = [e for x in range(src.n_objects) for e in E.ob(x).eval_basis(y)]
             objects = [x for x in range(src.n_objects) for _ in range(E.ob(x).eval_dim(y))]
             self.gen_objects[y] = tuple(objects)
-            if not gens:
-                # the zero fiber, presented on a singleton base
-                d0 = src.dim(0)
-                zero = np.zeros((d0, d0), dtype=np.complex128)
-                self.gen_objects[y] = (0,)
-                self.supp[y] = zero
-                self.sqrt[y] = zero
-                self.isqrt[y] = zero
-                ob_map.append(HilbertModule(src, (0,), zero, tol=self.tol, validate=False))
-                ob_map[-1].frame, roots[y] = np.zeros((d0, 0), dtype=np.complex128), np.zeros(0)
-                continue
-            evals, evecs = psd_eigh(hermitian_part(data.left_product_block(gens, gens)), self.tol)
-            keep = evals > 0.0
-            support, root = evecs[:, keep], np.sqrt(evals[keep])
-            self.sqrt[y] = (support * root) @ support.conj().T
-            self.isqrt[y] = (support / root) @ support.conj().T
+            if not gens:  # the zero fiber, presented on a singleton base with an empty frame
+                self.gen_objects[y] = objects = (0,)
+                support, root = np.zeros((src.dim(0), 0), dtype=np.complex128), np.zeros(0)
+            else:
+                ev, vecs = psd_eigh(hermitian_part(data.left_product_block(gens, gens)), self.tol)
+                support, root = vecs[:, ev > 0.0], np.sqrt(ev[ev > 0.0])
             self.supp[y] = support @ support.conj().T
             ob_map.append(HilbertModule(src, objects, self.supp[y], tol=self.tol))
             ob_map[-1].frame, roots[y] = support, root
@@ -340,7 +356,7 @@ class ConjugateBimodule:
         # holds the conjugated coefficients of e_α · b* over the y' generators;
         # through the frames S (sqrt = S·root·S*), (S'·root') · (S'* Λ_b S) · (S/root)*
         fibers = [self._fibers(y) for y in range(dst.n_objects)]
-        mor_blocks: dict[tuple[int, int], np.ndarray] = {}
+        cores: dict[tuple[int, int], np.ndarray] = {}
         for y in range(dst.n_objects):
             for yp in range(dst.n_objects):
                 basis = dst.hom_basis(y, yp)
@@ -353,17 +369,18 @@ class ConjugateBimodule:
                             (-1,) + gens_p.shape[1:]))
                         lams.append((r_p, r, np.eye(src.dim(x)),
                                      coeffs.reshape(len(gens_p), len(basis), len(gens))))
-                stack = np.empty((len(basis), ob_map[yp].total_dim, ob_map[y].total_dim),
-                                 dtype=np.complex128)
                 s_p, s = ob_map[yp].frame, ob_map[y].frame
-                left, s_p_adj, right = s_p * roots[yp], s_p.conj().T, (s / roots[y]).conj().T
+                core = cores[y, yp] = np.empty((len(basis), s_p.shape[1], s.shape[1]),
+                                               dtype=np.complex128)
                 for i in range(len(basis)):
-                    lam = np.zeros(stack.shape[1:], dtype=np.complex128)
+                    lam = np.zeros((len(s_p), len(s)), dtype=np.complex128)
                     for r_p, r, eye, coeffs in lams:
                         _set_blocks(lam, r_p, r, coeffs[:, i, :, None, None] * eye)
-                    stack[i] = left @ (s_p_adj @ lam @ s) @ right
-                mor_blocks[(y, yp)] = stack
-        self.bimodule = Bimodule(dst, src, ob_map, mor_blocks, tol=self.tol, validate=False)
+                    core[i] = s_p.conj().T @ lam @ s
+        self.bimodule = _FactoredAction(dst, src, ob_map, roots, cores, self.tol)
+        # S·root·S* and S/root·S*, formed last: off the transient peaks above
+        self.sqrt = {y: (m.frame * roots[y]) @ m.frame.conj().T for y, m in enumerate(ob_map)}
+        self.isqrt = {y: (m.frame / roots[y]) @ m.frame.conj().T for y, m in enumerate(ob_map)}
 
     def _fibers(self, y: int) -> dict[int, tuple]:
         """Per fiber x holding generators at y: the presentation rows of

@@ -774,16 +774,18 @@ def test_tensor_action_matches_frame_free_compression(case):
 
 def _eager_tensor_blocks(T):
     """The action stacks of E ⊗ F as they were built when the tensor was
-    constructed: one extension of V_y c V_x* per basis element."""
+    constructed: one extension of V_y c V_x* per basis element, c = V_y* b V_x
+    read through E's compression hook (for a plain E that very product; the
+    conjugate's factored c is held to it in test_morita.py)."""
     E, F, n = T.left, T.right, T.source.n_objects
     out = {}
     for x in range(n):
         for y in range(n):
             fx, fy = E.ob(x), E.ob(y)
-            blocks = E.mor_stack(x, y)
+            blocks = E._compressed(x, y)
             stack = np.zeros((blocks.shape[0], T.ob(y).total_dim, T.ob(x).total_dim),
                              dtype=np.complex128)
-            for i, c in enumerate(fy.frame.conj().T @ blocks @ fx.frame):
+            for i, c in enumerate(blocks):
                 F._extend_into(stack[i], fx.base, fy.base, fy.frame @ c @ fx.frame.conj().T)
             out[(x, y)] = stack
     return out
