@@ -11,8 +11,6 @@ semi-inner product) is kept alongside as an independent oracle.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .errors import InvalidInput
@@ -396,10 +394,7 @@ class BimoduleTensor(Bimodule):
         self.ob_tensors = [tensor_module_bimodule(E.ob(x), F) for x in range(E.source.n_objects)]
         self.source, self.target, self.tol = E.source, F.target, E.tol
         self.ob_map = [t.module for t in self.ob_tensors]
-
-    @cached_property
-    def _blocks(self) -> dict:  # filled by _stack, one pair at a time
-        return {}
+        self._blocks: dict = {}
 
     def _build(self, x: int, y: int) -> np.ndarray:
         fx, fy, compressed = self.left.ob(x), self.left.ob(y), self.left._compressed(x, y)

@@ -200,8 +200,8 @@ def cmd_construct(args) -> int:
         if data is None:
             return _emit("construct-conjugate", [args.path], report, started, args.format)
         conj = conjugate_bimodule(data, tol)
-        out = specfile_for(conj.bimodule)
-        report.extend(verify_bimodule(conj.bimodule, tol), prefix="output:")
+        out = specfile_for(conj)
+        report.extend(verify_bimodule(conj, tol), prefix="output:")
     else:
         raise ParseError(f"unknown construct verb {args.what!r}")
     _save(args, out)

@@ -285,46 +285,20 @@ def check_imprimitivity(E: Bimodule, tol: Tolerance | None = None,
 # the conjugate bimodule
 
 
-class _FactoredAction(Bimodule):
-    """The conjugate's action, factored: block i of hom(y, y') is left_y' ·
-    cores[y, y'][i] · right_y, left = S·root, right = (S/root)*, S a fiber's
-    frame.  A pair's stack is built on first read; ``left_act`` builds none."""
-
-    def __init__(self, source, target, ob_map, roots, cores, tol):
-        self.source, self.target, self.tol, self.ob_map = source, target, tol, ob_map
-        self.roots, self.cores, self._blocks = roots, cores, {}
-        self.left = [m.frame * roots[y] for y, m in enumerate(ob_map)]
-        self.right = [(m.frame / roots[y]).conj().T for y, m in enumerate(ob_map)]
-
-    def _build(self, y: int, yp: int) -> np.ndarray:
-        core, shape = self.cores[y, yp], (self.ob_map[yp].total_dim, self.ob_map[y].total_dim)
-        stack = np.empty((len(core), *shape), dtype=np.complex128)
-        for i, c in enumerate(core):
-            stack[i] = self.left[yp] @ c @ self.right[y]
-        return stack
-
-    def left_act(self, row, x: int, y: int) -> np.ndarray:
-        row = as_cmatrix(row, cols=self.ob(y).total_dim)
-        return ((row @ self.left[y]) @ self.cores[x, y]) @ self.right[x]
-
-    def _compressed(self, x: int, y: int) -> np.ndarray:
-        return self.roots[y][:, None] * self.cores[x, y] / self.roots[x]
-
-
-class ConjugateBimodule:
+class ConjugateBimodule(Bimodule):
     """Conjugate of an imprimitivity bimodule, with element translations.
 
-    For each target object y the conjugate fiber is presented on the list of
-    fiber objects carrying an evaluation basis at y, with projection the
-    support of the left-product Gram matrix; the generator with index α is
-    the conjugate of the α-th basis element.  A target morphism b acts as
-    sqrt · Λ_b · isqrt with Λ_b its conjugated coefficient pattern; this
-    needs no compression by the supports, since supp · sqrt = sqrt and
-    isqrt · supp = isqrt.  ``bimodule`` keeps it factored, as the small
-    cores S'* Λ_b S with S the support's frame, and builds a full stack
-    only on first read.  ``element_of`` and ``element_to`` translate
-    between presentation columns and the elements of the original bimodule
-    they conjugate.
+    Fiber y is presented on the list of fiber objects carrying an evaluation
+    basis at y, with projection S S*, S the frame of the support of the
+    left-product Gram and ``roots[y]`` the roots of its nonzero eigenvalues;
+    generator α is the conjugate of the α-th basis element.  A target
+    morphism b acts as sqrt · Λ_b · isqrt, Λ_b its conjugated coefficient
+    pattern (S S* fixes both roots, so no compression), kept factored as
+    left_y' · core · right_y, left = S·root, right = (S/root)*, with the small
+    ``cores`` S'* Λ_b S: a pair's stack is built on first read, ``left_act``
+    builds none, and ``sqrt(y)`` and ``isqrt(y)`` are formed on demand.
+    ``element_of`` and ``element_to`` translate between presentation columns
+    and the original elements.
     """
 
     def __init__(self, data: BiHilbertData, tol: Tolerance | None = None):
@@ -332,31 +306,30 @@ class ConjugateBimodule:
         self.original = data
         self.tol = resolve_tol(tol if tol is not None else data.tol)
         src, dst = E.source, E.target
+        self.source, self.target = dst, src
 
         self.gens: dict[int, list[ModuleElement]] = {}
         self.gen_objects: dict[int, tuple[int, ...]] = {}
-        self.supp: dict[int, np.ndarray] = {}
-        roots: dict[int, np.ndarray] = {}
-        ob_map = []
+        self.roots: dict[int, np.ndarray] = {}
+        self.ob_map: list[HilbertModule] = []
         for y in range(dst.n_objects):
             self.gens[y] = gens = [e for x in range(src.n_objects) for e in E.ob(x).eval_basis(y)]
-            objects = [x for x in range(src.n_objects) for _ in range(E.ob(x).eval_dim(y))]
+            objects = [x for x in range(src.n_objects) for _ in range(E.ob(x).eval_dim(y))] or [0]
             self.gen_objects[y] = tuple(objects)
             if not gens:  # the zero fiber, presented on a singleton base with an empty frame
-                self.gen_objects[y] = objects = (0,)
                 support, root = np.zeros((src.dim(0), 0), dtype=np.complex128), np.zeros(0)
             else:
                 ev, vecs = psd_eigh(hermitian_part(data.left_product_block(gens, gens)), self.tol)
                 support, root = vecs[:, ev > 0.0], np.sqrt(ev[ev > 0.0])
-            self.supp[y] = support @ support.conj().T
-            ob_map.append(HilbertModule(src, objects, self.supp[y], tol=self.tol))
-            ob_map[-1].frame, roots[y] = support, root
+            self.ob_map.append(HilbertModule(src, objects, support @ support.conj().T,
+                                             tol=self.tol))
+            self.ob_map[-1].frame, self.roots[y] = support, root
 
         # the action of b is sqrt · Λ_b · isqrt, where column block α of Λ_b
         # holds the conjugated coefficients of e_α · b* over the y' generators;
         # through the frames S (sqrt = S·root·S*), (S'·root') · (S'* Λ_b S) · (S/root)*
         fibers = [self._fibers(y) for y in range(dst.n_objects)]
-        cores: dict[tuple[int, int], np.ndarray] = {}
+        self.cores: dict[tuple[int, int], np.ndarray] = {}
         for y in range(dst.n_objects):
             for yp in range(dst.n_objects):
                 basis = dst.hom_basis(y, yp)
@@ -369,18 +342,41 @@ class ConjugateBimodule:
                             (-1,) + gens_p.shape[1:]))
                         lams.append((r_p, r, np.eye(src.dim(x)),
                                      coeffs.reshape(len(gens_p), len(basis), len(gens))))
-                s_p, s = ob_map[yp].frame, ob_map[y].frame
-                core = cores[y, yp] = np.empty((len(basis), s_p.shape[1], s.shape[1]),
-                                               dtype=np.complex128)
+                s_p, s = self.ob_map[yp].frame, self.ob_map[y].frame
+                core = self.cores[y, yp] = np.empty((len(basis), s_p.shape[1], s.shape[1]),
+                                                    dtype=np.complex128)
                 for i in range(len(basis)):
                     lam = np.zeros((len(s_p), len(s)), dtype=np.complex128)
                     for r_p, r, eye, coeffs in lams:
                         _set_blocks(lam, r_p, r, coeffs[:, i, :, None, None] * eye)
                     core[i] = s_p.conj().T @ lam @ s
-        self.bimodule = _FactoredAction(dst, src, ob_map, roots, cores, self.tol)
-        # S·root·S* and S/root·S*, formed last: off the transient peaks above
-        self.sqrt = {y: (m.frame * roots[y]) @ m.frame.conj().T for y, m in enumerate(ob_map)}
-        self.isqrt = {y: (m.frame / roots[y]) @ m.frame.conj().T for y, m in enumerate(ob_map)}
+        self._blocks: dict = {}
+        self.left = [m.frame * self.roots[y] for y, m in enumerate(self.ob_map)]
+        self.right = [(m.frame / self.roots[y]).conj().T for y, m in enumerate(self.ob_map)]
+
+    def sqrt(self, y: int) -> np.ndarray:
+        """(S·root)·S*, the square root of fiber y's generator Gram."""
+        return self.left[self.source.check_object(y)] @ self.ob_map[y].frame.conj().T
+
+    def isqrt(self, y: int) -> np.ndarray:
+        """(S/root)·S*, the inverse square root of that Gram on its support."""
+        S = self.ob(y).frame
+        return (S / self.roots[y]) @ S.conj().T
+
+    def _build(self, y: int, yp: int) -> np.ndarray:
+        core, shape = self.cores[y, yp], (self.ob_map[yp].total_dim, self.ob_map[y].total_dim)
+        stack = np.empty((len(core), *shape), dtype=np.complex128)
+        for i, c in enumerate(core):
+            stack[i] = self.left[yp] @ c @ self.right[y]
+        return stack
+
+    def left_act(self, row, x: int, y: int) -> np.ndarray:
+        row = as_cmatrix(row, cols=self.ob(y).total_dim)
+        x = self.source.check_object(x)
+        return ((row @ self.left[y]) @ self.cores[x, y]) @ self.right[x]
+
+    def _compressed(self, x: int, y: int) -> np.ndarray:
+        return self.roots[y][:, None] * self.cores[x, y] / self.roots[x]
 
     def _fibers(self, y: int) -> dict[int, tuple]:
         """Per fiber x holding generators at y: the presentation rows of
@@ -399,24 +395,24 @@ class ConjugateBimodule:
         """Presentation column of the conjugate of an original element."""
         src, x, y = self.original.bimodule.source, _fiber_of(self.original.bimodule, f), f.at
         d = src.dim(x)
-        pattern = np.zeros((self.bimodule.ob(y).total_dim, d), dtype=np.complex128)
+        pattern = np.zeros((self.ob(y).total_dim, d), dtype=np.complex128)
         fibers = self._fibers(y)
         if x in fibers:
             rows, gens = fibers[x]
             coeffs = _conjugated_coefficients(gens, f.col[None])[:, :, None, None]
             _set_blocks(pattern, rows, _layout(src, (x,)).plan[x], coeffs * np.eye(d))
-        return ModuleElement(self.bimodule.ob(y), x, self.sqrt[y] @ pattern, validate=False)
+        return ModuleElement(self.ob(y), x, self.sqrt(y) @ pattern, validate=False)
 
     def element_to(self, c: ModuleElement) -> ModuleElement:
         """Original element conjugated by a presentation column."""
         E = self.original.bimodule
-        y = _fiber_of(self.bimodule, c)
+        y = _fiber_of(self, c)
         x = c.at
         gens = self.gens[y]
         if not gens:
             return E.ob(x).zero_element(y)
         # the coefficient blocks are morphisms x -> x_a; their adjoints act on e_a
-        lifted = E.hull_extend(self.gen_objects[y], (x,), (self.isqrt[y] @ c.col).conj().T)
+        lifted = E.hull_extend(self.gen_objects[y], (x,), (self.isqrt(y) @ c.col).conj().T)
         return ModuleElement(E.ob(x), y, lifted @ self._columns(y), validate=False)
 
 
@@ -451,7 +447,7 @@ def morita_target_map(data: BiHilbertData,
     """
     E = data.bimodule
     conj = conj if conj is not None else conjugate_bimodule(data)
-    dom = tensor_bimodule_bimodule(conj.bimodule, E)
+    dom = tensor_bimodule_bimodule(conj, E)
     cod = yoneda_bimodule(E.target)
     comps = []
     for y in range(E.target.n_objects):
@@ -460,7 +456,7 @@ def morita_target_map(data: BiHilbertData,
         if not gens:
             block = np.zeros((E.target.dim(y), dom.ob(y).total_dim), dtype=np.complex128)
         else:
-            block = conj._columns(y).conj().T @ E.hull_extend(objs, objs, conj.isqrt[y])
+            block = conj._columns(y).conj().T @ E.hull_extend(objs, objs, conj.isqrt(y))
         comps.append(ModuleOperator(dom.ob(y), cod.ob(y), block, validate=False))
     return BimoduleMap(dom, cod, comps)
 
@@ -481,7 +477,7 @@ def morita_source_map(data: BiHilbertData,
     E = data.bimodule
     src = E.source
     conj = conj if conj is not None else conjugate_bimodule(data)
-    dom = tensor_bimodule_bimodule(E, conj.bimodule)
+    dom = tensor_bimodule_bimodule(E, conj)
     cod = yoneda_bimodule(src)
     comps = []
     for x in range(src.n_objects):
@@ -490,10 +486,9 @@ def morita_source_map(data: BiHilbertData,
         for z, sl in zip(fiber.base, fiber.slices):
             if conj.gens[z]:
                 unit = ModuleElement(fiber, z, fiber.proj[:, sl], validate=False)
-                row.append(data.left_product_block([unit], conj.gens[z]) @ conj.isqrt[z])
+                row.append(data.left_product_block([unit], conj.gens[z]) @ conj.isqrt(z))
             else:
-                row.append(np.zeros((src.dim(x), conj.bimodule.ob(z).total_dim),
-                                    dtype=np.complex128))
+                row.append(np.zeros((src.dim(x), conj.ob(z).total_dim), dtype=np.complex128))
         block = np.concatenate(row, axis=1)
         comps.append(ModuleOperator(module, cod.ob(x), block, validate=False))
     return BimoduleMap(dom, cod, comps)

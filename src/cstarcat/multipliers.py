@@ -186,7 +186,7 @@ class MultiplierCategory:
                 self.spaces[(x, y)] = multiplier_space(cat, x, y, self.tol)
 
     def dim(self, x: int, y: int) -> int:
-        return len(self.spaces[(x, y)])
+        return len(self.spaces[self.cat.check_object(x), self.cat.check_object(y)])
 
     def kappa(self, a: Morphism) -> MultiplierMorphism:
         return kappa(self.cat, a)

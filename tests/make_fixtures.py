@@ -61,7 +61,7 @@ def main(out_dir=FIXTURES) -> None:
     out.append(("category_matalg_1", matrix_algebra(cats[1]).cat))
 
     data, _ = check_imprimitivity(bimodules[0])
-    out.append(("bimodule_conjugate_0", conjugate_bimodule(data).bimodule))
+    out.append(("bimodule_conjugate_0", conjugate_bimodule(data)))
     out.append((
         "module_tensor_0",
         tensor_module_bimodule(random_module(300, cats[0]), bimodules[0]).module,

@@ -495,7 +495,7 @@ def test_hull_extend_matches_per_pair_action(kind, src_list, dst_list):
         "yoneda-empty-homs": lambda: yoneda_bimodule(base),
         "twist": lambda: bimodule_from_functor(unitary_twist_functor(base, seed=11)),
         "conjugate": lambda: conjugate_bimodule(
-            check_imprimitivity(yoneda_bimodule(base))[0]).bimodule,
+            check_imprimitivity(yoneda_bimodule(base))[0]),
     }[kind]()
     src = E.source
     rng = np.random.default_rng(len(src_list))
@@ -538,10 +538,13 @@ def test_accessors_reject_bad_object_indices(bad):
     from cstarcat.bimodules import BimoduleMap
     from cstarcat.category import identity_functor
     from cstarcat.errors import InvalidInput
+    from cstarcat.morita import check_imprimitivity, conjugate_bimodule
+    from cstarcat.multipliers import multiplier_category
 
     base, _ = random_block_category(3, n_objects=2)
     E = yoneda_bimodule(base)
     tau = BimoduleMap(E, E, [E.ob(x).identity() for x in range(2)])
+    mult = multiplier_category(base)
     calls = [
         lambda: base.dim(bad),
         lambda: base.label(bad),
@@ -549,7 +552,14 @@ def test_accessors_reject_bad_object_indices(bad):
         lambda: E.mor_stack(0, bad),
         lambda: identity_functor(base).image_stack(bad, 0),
         lambda: tau.component(bad),
+        lambda: mult.dim(bad, 0),
+        lambda: mult.dim(0, bad),
     ]
+    conj = conjugate_bimodule(check_imprimitivity(E)[0])
+    for B in (E, conj, tensor_bimodule_bimodule(E, E)):
+        row = np.zeros((1, B.ob(0).total_dim))
+        calls += [lambda B=B, row=row: B.left_act(row, bad, 0),
+                  lambda B=B, row=row: B.left_act(row, 0, bad)]
     for call in calls:
         with pytest.raises(InvalidInput):
             call()
@@ -658,7 +668,7 @@ def _tensor_case(case):
         seed, order = int(case[4]), case[5:]
         cat, _ = random_block_category(seed, n_objects=2, max_mult=2)
         data = mat_equivalence(cat)[1]
-        E, C = data.bimodule, conjugate_bimodule(data).bimodule
+        E, C = data.bimodule, conjugate_bimodule(data)
         return (E, C) if order == "-E-conj" else (C, E)
     cat, _ = random_block_category(4, n_objects=2, max_mult=2)
     twist = bimodule_from_functor(unitary_twist_functor(cat, seed=12))
@@ -740,7 +750,7 @@ def test_bimodule_residuals_match_per_element_loop(cat, kind):
         "yoneda": lambda: yoneda_bimodule(cat),
         "twist": lambda: bimodule_from_functor(unitary_twist_functor(cat, seed=61)),
         "conjugate": lambda: conjugate_bimodule(
-            check_imprimitivity(yoneda_bimodule(cat))[0]).bimodule,
+            check_imprimitivity(yoneda_bimodule(cat))[0]),
         "degenerate": lambda: degenerate_double(cat),
         "perturbed": perturbed,
     }[kind]()
@@ -795,12 +805,12 @@ def _eager_tensor_blocks(T):
                                   "uncompressed"])
 def test_tensor_stacks_are_built_on_first_read(case):
     T = tensor_bimodule_bimodule(*_tensor_case(case))
-    assert "_blocks" not in T.__dict__
+    assert not T._blocks
     ref = _eager_tensor_blocks(T)
-    assert "_blocks" not in T.__dict__
+    assert not T._blocks
     n = T.source.n_objects
     got = {(x, y): T.mor_stack(x, y) for x in range(n) for y in range(n)}
-    assert "_blocks" in T.__dict__
+    assert T._blocks
     assert got.keys() == ref.keys()
     for key, stack in ref.items():
         assert np.array_equal(got[key], stack)
@@ -821,7 +831,7 @@ def test_left_act_matches_row_times_stack(case):
             assert got.shape == ref.shape
             if ref.size:
                 assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
-    assert "_blocks" not in T.__dict__
+    assert not T._blocks
 
 
 def test_left_act_through_a_tensor_factor(cat):
@@ -833,7 +843,7 @@ def test_left_act_through_a_tensor_factor(cat):
     rng = np.random.default_rng(9)
     R = rng.standard_normal((3, T.ob(1).total_dim))
     got = T.left_act(R, 0, 1)
-    assert "_blocks" not in T.__dict__ and "_blocks" in inner.__dict__
+    assert not T._blocks and inner._blocks
     ref = R @ T.mor_stack(0, 1)
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
 
