@@ -131,21 +131,15 @@ class Bimodule:
         """
         src, dst_list, src_list = self.source, tuple(dst_list), tuple(src_list)
         arr = as_cmatrix(block, list_dim(src, dst_list), list_dim(src, src_list))
-        out = np.zeros((self._fiber_layout(dst_list).dim, self._fiber_layout(src_list).dim),
-                       dtype=np.complex128)
-        self._extend_into(out, src_list, dst_list, arr)
+        fibers_in, fibers_out = self._fiber_layout(src_list), self._fiber_layout(dst_list)
+        out = np.zeros((fibers_out.dim, fibers_in.dim), dtype=np.complex128)
+        _blockwise(src, self._act, arr, out, _layout(src, src_list), _layout(src, dst_list),
+                   fibers_in, fibers_out)
         return out
 
     def _fiber_layout(self, lst):
         """Layout of the direct sum of the fibers over an object list."""
         return _layout(self.source, lst, [self.ob_map[x].total_dim for x in lst])
-
-    def _extend_into(self, out: np.ndarray, src_list: tuple, dst_list: tuple,
-                     arr: np.ndarray) -> None:
-        """``hull_extend`` written into ``out``, which must be zero (``_blockwise``)."""
-        src = self.source
-        _blockwise(src, self._act, arr, out, _layout(src, src_list), _layout(src, dst_list),
-                   self._fiber_layout(src_list), self._fiber_layout(dst_list))
 
     def __repr__(self) -> str:
         return f"Bimodule({self.source!r} -> Hilb[{self.target!r}])"
@@ -401,7 +395,7 @@ class BimoduleTensor(Bimodule):
         stack = np.zeros((len(compressed), self.ob_map[y].total_dim, self.ob_map[x].total_dim),
                          dtype=np.complex128)
         for i, c in enumerate(compressed):
-            self.right._extend_into(stack[i], fx.base, fy.base, fy.frame @ c @ fx.frame.conj().T)
+            stack[i] = self.right.hull_extend(fx.base, fy.base, fy.frame @ c @ fx.frame.conj().T)
         return stack
 
     def left_act(self, row, x: int, y: int) -> np.ndarray:

@@ -80,7 +80,7 @@ def _tolerance(args) -> Tolerance:
 
 
 def _emit(command: str, inputs: list[str], report: Report, started: float,
-          fmt: str) -> int:
+          fmt: str) -> None:
     payload = {
         "command": command,
         "inputs": [digest_file(p) for p in inputs],
@@ -93,7 +93,6 @@ def _emit(command: str, inputs: list[str], report: Report, started: float,
     else:
         print(str(report))
         print(f"verdict: {payload['verdict']} ({payload['timing']}s)")
-    return 0 if report.passed else 1
 
 
 def _save(args, spec: SpecFile) -> None:
@@ -101,33 +100,30 @@ def _save(args, spec: SpecFile) -> None:
         save_specfile(args.out, spec)
 
 
-def _load_kind(path, kinds) -> SpecFile:
+def _load_kind(path, kind: str) -> SpecFile:
     spec = load_specfile(path)
-    if spec.kind not in kinds:
-        raise ParseError(f"{path}: expected one of {kinds}, got {spec.kind!r}")
+    if spec.kind != kind:
+        raise ParseError(f"{path}: expected one of {(kind,)}, got {spec.kind!r}")
     return spec
+
+
+def _read(path, kind: str, tol: Tolerance):
+    """The object of ``kind`` that the file at ``path`` describes."""
+    return realize(_load_kind(path, kind), tol)
 
 
 # -- verify -----------------------------------------------------------------
 
 
-def _verify_module_payload(payload, tol) -> Report:
-    cat, base, proj = decode_module_payload(payload, tol)
-    return _projection_report(cat, base, proj, tol)
-
-
-def cmd_verify(args) -> int:
-    started = time.time()
+def cmd_verify(args) -> tuple[str, list, Report]:
     tol = _tolerance(args)
     spec = load_specfile(args.path)
     if spec.kind == "category":
-        cat = category_from_payload(spec.payload, tol)
-        report = verify_category(cat, tol, seed=args.seed)
+        report = verify_category(realize(spec, tol), tol, seed=args.seed)
     elif spec.kind == "module":
-        report = _verify_module_payload(spec.payload, tol)
+        report = _projection_report(*decode_module_payload(spec.payload, tol), tol)
     elif spec.kind == "bimodule":
-        E = realize(spec, tol)
-        report = verify_bimodule(E, tol, seed=args.seed)
+        report = verify_bimodule(realize(spec, tol), tol, seed=args.seed)
     else:
         report = Report(context="groupoid")
         try:
@@ -137,7 +133,7 @@ def cmd_verify(args) -> int:
             report.extend(cat_report, prefix="category:")
         except InvalidInput:
             report.add("groupoid-axioms", 1.0, 0.5)
-    return _emit("verify", [args.path], report, started, args.format)
+    return "verify", [args.path], report
 
 
 # -- construct ----------------------------------------------------------------
@@ -163,13 +159,20 @@ def _multiplier_realization(cat, tol) -> SpecFile:
     return specfile_for(realized)
 
 
-def cmd_construct(args) -> int:
-    started = time.time()
+def cmd_construct(args) -> tuple[str, list, Report]:
     tol = _tolerance(args)
-    report = Report(context=f"construct-{args.what}")
-    if args.what in ("hull", "matalg", "idem", "multiplier"):
-        spec = _load_kind(args.path, ("category",))
-        cat = category_from_payload(spec.payload, tol)
+    command = f"construct-{args.what}"
+    report = Report(context=command)
+    if args.what == "conjugate":
+        data, cert = check_imprimitivity(_read(args.path, "bimodule", tol), tol)
+        report.extend(cert, prefix="certificate:")
+        if data is None:
+            return command, [args.path], report
+        conj = conjugate_bimodule(data, tol)
+        out = specfile_for(conj)
+        report.extend(verify_bimodule(conj, tol), prefix="output:")
+    else:
+        cat = _read(args.path, "category", tol)
         if args.what == "hull":
             out = specfile_for(AdditiveHull(cat, tol=tol).cat)
         elif args.what == "matalg":
@@ -192,35 +195,21 @@ def cmd_construct(args) -> int:
             out = _multiplier_realization(cat, tol)
         check = verify_category(category_from_payload(out.payload, tol), tol)
         report.extend(check, prefix="output:")
-    elif args.what == "conjugate":
-        spec = _load_kind(args.path, ("bimodule",))
-        E = realize(spec, tol)
-        data, cert = check_imprimitivity(E, tol)
-        report.extend(cert, prefix="certificate:")
-        if data is None:
-            return _emit("construct-conjugate", [args.path], report, started, args.format)
-        conj = conjugate_bimodule(data, tol)
-        out = specfile_for(conj)
-        report.extend(verify_bimodule(conj, tol), prefix="output:")
-    else:
-        raise ParseError(f"unknown construct verb {args.what!r}")
     _save(args, out)
-    return _emit(f"construct-{args.what}", [args.path], report, started, args.format)
+    return command, [args.path], report
 
 
 # -- tensor -------------------------------------------------------------------
 
 
-def cmd_tensor(args) -> int:
-    started = time.time()
+def cmd_tensor(args) -> tuple[str, list, Report]:
     tol = _tolerance(args)
-    left = load_specfile(args.left)
-    right = _load_kind(args.right, ("bimodule",))
-    E = realize(right, tol)
+    left, right = load_specfile(args.left), _load_kind(args.right, "bimodule")
     report = Report(context="tensor")
     if left.kind == "module":
         if left.payload.get("category") != right.payload.get("source"):
             raise ParseError("module category and bimodule source do not match")
+        E = realize(right, tol)
         M = module_from_payload(left.payload, tol, cat=E.source)
         tensor = tensor_module_bimodule(M, E)
         out = specfile_for(tensor.module)
@@ -237,17 +226,15 @@ def cmd_tensor(args) -> int:
     else:
         raise ParseError("tensor needs a module or bimodule on the left")
     _save(args, out)
-    return _emit("tensor", [args.left, args.right], report, started, args.format)
+    return "tensor", [args.left, args.right], report
 
 
 # -- morita -------------------------------------------------------------------
 
 
-def cmd_morita(args) -> int:
-    started = time.time()
+def cmd_morita(args) -> tuple[str, list, Report]:
     tol = _tolerance(args)
-    spec = _load_kind(args.path, ("bimodule",))
-    E = realize(spec, tol)
+    E = _read(args.path, "bimodule", tol)
     report = Report(context="morita")
     report.extend(verify_bimodule(E, tol), prefix="bimodule:")
     data, cert = check_imprimitivity(E, tol, seed=args.seed)
@@ -260,17 +247,15 @@ def cmd_morita(args) -> int:
         report.extend(phi.unitary_report(tol), prefix="target-map:")
         report.extend(psi.verify_natural(tol), prefix="source-map:")
         report.extend(psi.unitary_report(tol), prefix="source-map:")
-    return _emit("morita", [args.path], report, started, args.format)
+    return "morita", [args.path], report
 
 
 # -- eilenberg-watts ------------------------------------------------------------
 
 
-def cmd_ew(args) -> int:
-    started = time.time()
+def cmd_ew(args) -> tuple[str, list, Report]:
     tol = _tolerance(args)
-    spec = _load_kind(args.path, ("bimodule",))
-    E = realize(spec, tol)
+    E = _read(args.path, "bimodule", tol)
     ok, nd_report = check_nondegenerate(E, tol)
     report = Report(context="eilenberg-watts")
     report.extend(nd_report, prefix="precondition:")
@@ -286,14 +271,13 @@ def cmd_ew(args) -> int:
         for name in sorted(worst):
             residual, threshold = worst[name]
             report.add(f"worst:{name}", residual, threshold)
-    return _emit("ew", [args.path], report, started, args.format)
+    return "ew", [args.path], report
 
 
 # -- gen ------------------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
-    started = time.time()
+def cmd_gen(args) -> tuple[str, list, Report]:
     tol = _tolerance(args)
     report = Report(context=f"gen-{args.kind}")
     if args.kind == "category":
@@ -310,23 +294,20 @@ def cmd_gen(args) -> int:
             G = FiniteGroupoid.codiscrete(args.n)
         out = specfile_for(G)
         report.add("groupoid-axioms", 0.0, 0.5)
+    elif args.category is None:
+        raise ParseError(f"gen {args.kind} needs --category")
     elif args.kind == "module":
-        spec = _load_kind(args.category, ("category",))
-        cat = category_from_payload(spec.payload, tol)
-        module = random_module(args.seed, cat, max_base=args.max_base)
+        module = random_module(args.seed, _read(args.category, "category", tol),
+                               max_base=args.max_base)
         out = specfile_for(module)
         report.add("module-built", 0.0, 0.5)
-    elif args.kind == "bimodule":
-        spec = _load_kind(args.category, ("category",))
-        cat = category_from_payload(spec.payload, tol)
+    else:
+        cat = _read(args.category, "category", tol)
         E = bimodule_from_functor(unitary_twist_functor(cat, seed=args.seed), tol)
         out = specfile_for(E)
         report.extend(verify_bimodule(E, tol), prefix="output:")
-    else:
-        raise ParseError(f"unknown generator kind {args.kind!r}")
     _save(args, out)
-    inputs = [args.category] if getattr(args, "category", None) else []
-    return _emit(f"gen-{args.kind}", inputs, report, started, args.format)
+    return f"gen-{args.kind}", [args.category] if args.category else [], report
 
 
 # -- entry ----------------------------------------------------------------------
@@ -405,13 +386,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one verb: 0 when its report passes, 1 when it fails or a
+    construction raises, 2 for unreadable input."""
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        command, inputs, report = args.func(args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 1
+    _emit(command, inputs, report, started, args.format)
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

@@ -48,7 +48,6 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 FILE_EXTENSION = ".cstar.json"
-_KINDS = ("category", "module", "bimodule", "groupoid")
 
 
 @dataclass
@@ -68,10 +67,13 @@ def encode_matrix(mat) -> list:
 
 
 def decode_matrix(data) -> np.ndarray:
+    """The matrix, or stack, of nested ``[re, im]`` pairs of finite numbers."""
     try:
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 2:
-            raise ValueError("matrix entries must be [re, im] pairs")
+        arr = np.asarray(data)
+        if arr.dtype.kind not in "iuf" or arr.ndim != 3 or arr.shape[2] != 2:
+            raise ValueError("matrix entries must be [re, im] pairs of numbers")
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix has non-finite entries")
         return arr[..., 0] + 1j * arr[..., 1]
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad matrix data: {exc}") from exc
@@ -108,21 +110,17 @@ def _pair_entries(entries, field: str, decode, what: str) -> dict:
     return out
 
 
+def _pair_payload(n: int, stack, field: str) -> list:
+    """The entries ``_pair_entries`` reads: one per pair (src, dst) of the
+    n objects whose ``stack(src, dst)`` is not empty, encoded as ``field``."""
+    return [{"src": x, "dst": y, field: encode_matrix(s)}
+            for x in range(n) for y in range(n) if len(s := stack(x, y))]
+
+
 def category_payload(cat: CStarCategory) -> dict:
-    homs = []
-    for x in range(cat.n_objects):
-        for y in range(cat.n_objects):
-            basis = cat.hom_basis(x, y)
-            if basis.shape[0] == 0:
-                continue
-            homs.append({
-                "src": x,
-                "dst": y,
-                "basis": encode_matrix(basis),
-            })
     return {
         "objects": [{"label": l, "dim": d} for l, d in cat.objects],
-        "homs": homs,
+        "homs": _pair_payload(cat.n_objects, cat.hom_basis, "basis"),
     }
 
 
@@ -179,17 +177,6 @@ def module_from_payload(payload: dict, tol: Tolerance | None = None,
 
 
 def bimodule_payload(E: Bimodule) -> dict:
-    mor = []
-    for x in range(E.source.n_objects):
-        for y in range(E.source.n_objects):
-            stack = E.mor_stack(x, y)
-            if stack.shape[0] == 0:
-                continue
-            mor.append({
-                "src": x,
-                "dst": y,
-                "blocks": encode_matrix(stack),
-            })
     return {
         "source": category_payload(E.source),
         "target": category_payload(E.target),
@@ -197,7 +184,7 @@ def bimodule_payload(E: Bimodule) -> dict:
             {"base": list(E.ob(x).base), "proj": encode_matrix(E.ob(x).proj)}
             for x in range(E.source.n_objects)
         ],
-        "mor_map": mor,
+        "mor_map": _pair_payload(E.source.n_objects, E.mor_stack, "blocks"),
     }
 
 
@@ -240,43 +227,46 @@ def groupoid_payload(G: FiniteGroupoid) -> dict:
 
 
 def groupoid_from_payload(payload: dict) -> FiniteGroupoid:
+    """Rebuild a groupoid; a ``comp`` entry below 0 marks a pair that does
+    not compose."""
     try:
-        morphisms = [(m["name"], int(m["src"]), int(m["dst"]))
-                     for m in payload["morphisms"]]
-        comp = {}
-        for g, row in enumerate(payload["comp"]):
-            for h, k in enumerate(row):
-                if int(k) >= 0:
-                    comp[(g, h)] = int(k)
+        morphisms = [(m["name"], _index(m["src"], "morphism src"),
+                      _index(m["dst"], "morphism dst")) for m in payload["morphisms"]]
+        comp = {(g, h): k for g, row in enumerate(payload["comp"]) for h, k in enumerate(row)
+                if _index(k, "comp entry") >= 0}
         return FiniteGroupoid(payload["objects"], morphisms, comp,
-                              payload["inv"], payload["identity"])
+                              [_index(g, "inv entry") for g in payload["inv"]],
+                              [_index(g, "identity entry") for g in payload["identity"]])
     except _PAYLOAD_ERRORS as exc:
         raise ParseError(f"bad groupoid payload: {exc!r}") from exc
 
 
+# each kind's type, payload writer and payload reader ``(payload, tol)``
+_KINDS = {
+    "category": (CStarCategory, category_payload, category_from_payload),
+    "module": (HilbertModule, module_payload, module_from_payload),
+    "bimodule": (Bimodule, bimodule_payload, bimodule_from_payload),
+    "groupoid": (FiniteGroupoid, groupoid_payload, lambda p, tol: groupoid_from_payload(p)),
+}
+
+
+def _kind(kind):
+    """The ``_KINDS`` entry of a kind name."""
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ParseError(f"unknown kind {kind!r}")
+    return _KINDS[kind]
+
+
 def specfile_for(obj) -> SpecFile:
-    if isinstance(obj, CStarCategory):
-        return SpecFile("category", FORMAT_VERSION, category_payload(obj))
-    if isinstance(obj, HilbertModule):
-        return SpecFile("module", FORMAT_VERSION, module_payload(obj))
-    if isinstance(obj, Bimodule):
-        return SpecFile("bimodule", FORMAT_VERSION, bimodule_payload(obj))
-    if isinstance(obj, FiniteGroupoid):
-        return SpecFile("groupoid", FORMAT_VERSION, groupoid_payload(obj))
+    for kind, (cls, write, _) in _KINDS.items():
+        if isinstance(obj, cls):
+            return SpecFile(kind, FORMAT_VERSION, write(obj))
     raise ParseError(f"no file format for objects of type {type(obj).__name__}")
 
 
 def realize(spec: SpecFile, tol: Tolerance | None = None):
     """Instantiate the object a spec file describes."""
-    if spec.kind == "category":
-        return category_from_payload(spec.payload, tol)
-    if spec.kind == "module":
-        return module_from_payload(spec.payload, tol)
-    if spec.kind == "bimodule":
-        return bimodule_from_payload(spec.payload, tol)
-    if spec.kind == "groupoid":
-        return groupoid_from_payload(spec.payload)
-    raise ParseError(f"unknown kind {spec.kind!r}")
+    return _kind(spec.kind)[2](spec.payload, tol)
 
 
 def dumps_canonical(obj) -> str:
@@ -299,8 +289,7 @@ def load_specfile(path) -> SpecFile:
     kind = obj.get("kind")
     version = obj.get("version")
     payload = obj.get("payload")
-    if kind not in _KINDS:
-        raise ParseError(f"unknown kind {kind!r}")
+    _kind(kind)
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version!r}")
     if not isinstance(payload, dict):

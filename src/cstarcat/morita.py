@@ -298,7 +298,7 @@ class ConjugateBimodule(Bimodule):
     ``cores`` S'* Λ_b S: a pair's stack is built on first read, ``left_act``
     builds none, and ``sqrt(y)`` and ``isqrt(y)`` are formed on demand.
     ``element_of`` and ``element_to`` translate between presentation columns
-    and the original elements.
+    and the original elements, through the frames as well.
     """
 
     def __init__(self, data: BiHilbertData, tol: Tolerance | None = None):
@@ -364,11 +364,7 @@ class ConjugateBimodule(Bimodule):
         return (S / self.roots[y]) @ S.conj().T
 
     def _build(self, y: int, yp: int) -> np.ndarray:
-        core, shape = self.cores[y, yp], (self.ob_map[yp].total_dim, self.ob_map[y].total_dim)
-        stack = np.empty((len(core), *shape), dtype=np.complex128)
-        for i, c in enumerate(core):
-            stack[i] = self.left[yp] @ c @ self.right[y]
-        return stack
+        return (self.left[yp] @ self.cores[y, yp]) @ self.right[y]
 
     def left_act(self, row, x: int, y: int) -> np.ndarray:
         row = as_cmatrix(row, cols=self.ob(y).total_dim)
@@ -401,7 +397,8 @@ class ConjugateBimodule(Bimodule):
             rows, gens = fibers[x]
             coeffs = _conjugated_coefficients(gens, f.col[None])[:, :, None, None]
             _set_blocks(pattern, rows, _layout(src, (x,)).plan[x], coeffs * np.eye(d))
-        return ModuleElement(self.ob(y), x, self.sqrt(y) @ pattern, validate=False)
+        S = self.ob(y).frame  # sqrt(y) @ pattern as (S·root) · (S* · pattern)
+        return ModuleElement(self.ob(y), x, self.left[y] @ (S.conj().T @ pattern), validate=False)
 
     def element_to(self, c: ModuleElement) -> ModuleElement:
         """Original element conjugated by a presentation column."""
@@ -412,7 +409,9 @@ class ConjugateBimodule(Bimodule):
         if not gens:
             return E.ob(x).zero_element(y)
         # the coefficient blocks are morphisms x -> x_a; their adjoints act on e_a
-        lifted = E.hull_extend(self.gen_objects[y], (x,), (self.isqrt(y) @ c.col).conj().T)
+        S = self.ob(y).frame  # isqrt(y) @ col as (S/root) · (S* · col)
+        coeffs = (S / self.roots[y]) @ (S.conj().T @ c.col)
+        lifted = E.hull_extend(self.gen_objects[y], (x,), coeffs.conj().T)
         return ModuleElement(E.ob(x), y, lifted @ self._columns(y), validate=False)
 
 

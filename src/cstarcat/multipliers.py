@@ -39,24 +39,24 @@ __all__ = [
 ]
 
 
-def post_compose_matrix(cat: CStarCategory, a: Morphism, w: int) -> np.ndarray:
-    """Coordinate matrix of f ↦ a∘f from hom(w, a.src) to hom(w, a.dst)."""
-    basis_in = cat.hom_basis(w, a.src)
-    basis_out = cat.hom_basis(w, a.dst)
+def _coordinate_map(basis_in: np.ndarray, basis_out: np.ndarray, image) -> np.ndarray:
+    """Coordinates over ``basis_out`` of ``image(basis_in)``, one column per
+    element of ``basis_in``: the matrix of a map between hom-spaces."""
     if basis_in.shape[0] == 0 or basis_out.shape[0] == 0:
         return np.zeros((basis_out.shape[0], basis_in.shape[0]), dtype=np.complex128)
-    prods = np.einsum("ij,kjl->kil", a.mat, basis_in)
-    return np.tensordot(basis_out.conj(), prods, axes=([1, 2], [1, 2]))
+    return np.tensordot(basis_out.conj(), image(basis_in), axes=([1, 2], [1, 2]))
+
+
+def post_compose_matrix(cat: CStarCategory, a: Morphism, w: int) -> np.ndarray:
+    """Coordinate matrix of f ↦ a∘f from hom(w, a.src) to hom(w, a.dst)."""
+    return _coordinate_map(cat.hom_basis(w, a.src), cat.hom_basis(w, a.dst),
+                           lambda basis: np.einsum("ij,kjl->kil", a.mat, basis))
 
 
 def pre_compose_matrix(cat: CStarCategory, a: Morphism, z: int) -> np.ndarray:
     """Coordinate matrix of g ↦ g∘a from hom(a.dst, z) to hom(a.src, z)."""
-    basis_in = cat.hom_basis(a.dst, z)
-    basis_out = cat.hom_basis(a.src, z)
-    if basis_in.shape[0] == 0 or basis_out.shape[0] == 0:
-        return np.zeros((basis_out.shape[0], basis_in.shape[0]), dtype=np.complex128)
-    prods = np.einsum("kij,jl->kil", basis_in, a.mat)
-    return np.tensordot(basis_out.conj(), prods, axes=([1, 2], [1, 2]))
+    return _coordinate_map(cat.hom_basis(a.dst, z), cat.hom_basis(a.src, z),
+                           lambda basis: np.einsum("kij,jl->kil", basis, a.mat))
 
 
 def star_matrix(cat: CStarCategory, x: int, y: int) -> np.ndarray:
@@ -64,12 +64,8 @@ def star_matrix(cat: CStarCategory, x: int, y: int) -> np.ndarray:
 
     The involution is conjugate linear: coords(m*) = star @ conj(coords(m)).
     """
-    basis_in = cat.hom_basis(x, y)
-    basis_out = cat.hom_basis(y, x)
-    if basis_in.shape[0] == 0 or basis_out.shape[0] == 0:
-        return np.zeros((basis_out.shape[0], basis_in.shape[0]), dtype=np.complex128)
-    adjs = np.conj(np.transpose(basis_in, (0, 2, 1)))
-    return np.tensordot(basis_out.conj(), adjs, axes=([1, 2], [1, 2]))
+    return _coordinate_map(cat.hom_basis(x, y), cat.hom_basis(y, x),
+                           lambda basis: np.conj(np.transpose(basis, (0, 2, 1))))
 
 
 def _coordinate_matrix(data, shape: tuple[int, int], what: str) -> np.ndarray:

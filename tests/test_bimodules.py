@@ -796,7 +796,7 @@ def _eager_tensor_blocks(T):
             stack = np.zeros((blocks.shape[0], T.ob(y).total_dim, T.ob(x).total_dim),
                              dtype=np.complex128)
             for i, c in enumerate(blocks):
-                F._extend_into(stack[i], fx.base, fy.base, fy.frame @ c @ fx.frame.conj().T)
+                stack[i] = F.hull_extend(fx.base, fy.base, fy.frame @ c @ fx.frame.conj().T)
             out[(x, y)] = stack
     return out
 

@@ -179,6 +179,20 @@ def test_matrix_codec_round_trip():
     assert np.array_equal(decode_matrix(encode_matrix(m)), m)
 
 
+@pytest.mark.parametrize("data, message", [
+    ([[["0.5", 0.0]]], "pairs of numbers"),
+    ([[[True, False]]], "pairs of numbers"),
+    ([[[None, 0.0]]], "pairs of numbers"),
+    ([[[float("nan"), 0.0]]], "non-finite"),
+    ([[[0.0, float("-inf")]]], "non-finite"),
+], ids=["string", "bool", "null", "nan", "infinite"])
+def test_decode_matrix_takes_finite_numbers_only(data, message):
+    from cstarcat.io import decode_matrix
+
+    with pytest.raises(ParseError, match=message):
+        decode_matrix(data)
+
+
 def _reference_encode(mat):
     arr = np.asarray(mat, dtype=np.complex128)
     return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
@@ -205,7 +219,9 @@ def test_encode_matrix_matches_elementwise_form():
     lambda p: p.pop("proj"),
     lambda p: p.update(generators=[{"col": p.pop("proj")}]),
     lambda p: p["category"]["objects"][0].pop("dim"),
-], ids=["no-base", "string-base", "base-out-of-range", "no-proj", "generators-no-proj", "no-dim"])
+    lambda p: p["proj"][0][0].__setitem__(0, "0.5"),
+], ids=["no-base", "string-base", "base-out-of-range", "no-proj", "generators-no-proj", "no-dim",
+        "string-entry"])
 def test_malformed_module_payload_is_input_error(tmp_path, capsys, mutate):
     """A module payload is (base, proj) only: a generating-element form
     without ``"proj"`` is unreadable like any other malformed payload."""
@@ -248,6 +264,24 @@ def test_bad_hom_key_is_input_error(tmp_path, capsys, entry):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda p: p["comp"][0].__setitem__(1, 1.5),
+    lambda p: p["inv"].__setitem__(1, "1"),
+    lambda p: p["identity"].__setitem__(0, False),
+    lambda p: p["morphisms"][1].__setitem__("src", 0.9),
+    lambda p: p["comp"][0].__setitem__(1, float("inf")),
+], ids=["fractional-comp", "string-inv", "bool-identity", "fractional-src", "infinite-comp"])
+def test_groupoid_index_of_wrong_type_is_input_error(tmp_path, capsys, mutate):
+    """Every groupoid index is a JSON integer: none is rounded or cast."""
+    spec = load_specfile(FIXTURES / "groupoid_cyclic_2.cstar.json")
+    mutate(spec.payload)
+    path = tmp_path / "groupoid.cstar.json"
+    path.write_text(json.dumps(spec.to_obj()))  # canonical dumps refuses Infinity
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_bad_action_key_is_input_error(tmp_path, capsys):
     spec = load_specfile(FIXTURES / "bimodule_twist_0.cstar.json")
     n = len(spec.payload["source"]["objects"])
@@ -276,7 +310,9 @@ def test_failed_construction_is_a_failure_not_an_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["gen", "category", "--objects", "0"],
     ["gen", "groupoid", "--family", "cyclic", "--n", "0"],
-], ids=["no-objects", "empty-group"])
+    ["gen", "module"],
+    ["gen", "bimodule", "--seed", "1"],
+], ids=["no-objects", "empty-group", "module-without-category", "bimodule-without-category"])
 def test_bad_generation_parameter_is_input_error(capsys, args):
     # argparse reports a bad argument by raising SystemExit(2)
     try:

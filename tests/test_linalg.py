@@ -450,9 +450,9 @@ def test_offset_scanner_finds_each_form():
     loops = ("def block_project(cat, arr):\n"
              "    return _block_view(arr, r, c)\n"
              "class Bimodule:\n"
-             "    def _extend_into(self, arr):\n"
+             "    def hull_extend(self, arr):\n"
              "        blocks = _block_view(arr, r, c)\n")
-    assert _block_readers(loops) == {"block_project", "_extend_into"}
+    assert _block_readers(loops) == {"block_project", "hull_extend"}
 
 
 def test_block_offsets_come_from_one_function():

@@ -873,7 +873,12 @@ def test_conjugate_matches_support_sandwich_reference(case):
         for y in range(dst.n_objects):
             f = E.ob(x).random_element(rng, y)
             ref = conj.sqrt(y) @ _reference_coefficients(conj, y, x, f.col)
-            assert np.max(np.abs(conj.element_of(f).col - ref)) <= 1e-12
+            c = conj.element_of(f)
+            assert np.max(np.abs(c.col - ref)) <= 1e-12
+            if conj.gens[y]:  # element_to against its N × N form, through isqrt(y)
+                coeffs = (conj.isqrt(y) @ c.col).conj().T
+                ref = E.hull_extend(conj.gen_objects[y], (x,), coeffs) @ conj._columns(y)
+                assert np.max(np.abs(conj.element_to(c).col - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["seed4", "seed7", "corner"])
