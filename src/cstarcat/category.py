@@ -38,6 +38,7 @@ from .linalg import (
     span_coords,
     span_eval,
     spectral_power,
+    stack_rank,
 )
 from .report import Report
 
@@ -79,7 +80,7 @@ def _check_pair_keys(mapping, n: int, what: str) -> None:
 
 def _pair_stacks(cat: "CStarCategory", mapping, sizes, what: str) -> dict:
     """Every (x, y) -> stack of a (src, dst)-keyed mapping over the objects
-    of ``cat``, checked to have shape (hom_dim(x, y), sizes[y], sizes[x]).
+    of ``cat``, checked to be finite of shape (hom_dim(x, y), sizes[y], sizes[x]).
     A pair may be missing (or empty) only where its hom-space is empty.  A
     complex ndarray is kept as it is, not copied.  The largest stacks, a
     tensor's and the conjugate's, are built per pair on first read instead."""
@@ -98,6 +99,8 @@ def _pair_stacks(cat: "CStarCategory", mapping, sizes, what: str) -> dict:
             if stack.shape != expected:
                 raise InvalidInput(
                     f"{what} on hom({x},{y}) must have shape {expected}, got {stack.shape}")
+            if not np.all(np.isfinite(stack)):
+                raise InvalidInput(f"{what} on hom({x},{y}) has non-finite entries")
             out[x, y] = stack
     return out
 
@@ -394,8 +397,7 @@ def polar_unitary(a: Morphism, tol: Tolerance | None = None) -> Morphism:
     tol = resolve_tol(tol if tol is not None else a.cat.tol)
     if a.mat.shape[0] != a.mat.shape[1]:
         raise NotInvertible("polar unitary needs equal source and target dimensions")
-    svals = np.linalg.svd(a.mat, compute_uv=False)
-    if numerical_rank(svals, tol) < svals.size:
+    if stack_rank(a.mat, tol) < a.mat.shape[0]:
         raise NotInvertible("morphism is not invertible at the configured cutoff")
     u_mat = a.mat @ frac_power(a.mat.conj().T @ a.mat, -0.5, tol)
     return Morphism(a.cat, a.src, a.dst, u_mat)
@@ -421,8 +423,6 @@ class CStarFunctor:
             raise InvalidInput("object map must cover every source object")
         self._action = _pair_stacks(source, action, [target.dim(f) for f in self.object_map],
                                     "action")
-        if not all(np.all(np.isfinite(stack)) for stack in self._action.values()):
-            raise InvalidInput("functor images must be finite")
 
     def image_stack(self, x: int, y: int) -> np.ndarray:
         return self._action[self.source.check_object(x), self.source.check_object(y)]
@@ -462,9 +462,10 @@ def identity_functor(cat: CStarCategory) -> CStarFunctor:
 def _action_residuals(src: CStarCategory, act, images, rng: np.random.Generator, samples: int):
     """Residuals of the linear action ``act(x, y, mats)`` with basis images
     ``images(x, y)``: the worst multiplicativity and *-preservation residuals,
-    one stacked norm per hom pair, and per nonempty hom-space the relative
-    norm gains (||act(a)|| - ||a||) / max(||a||, 1) of ``samples`` random
-    morphisms a drawn from ``rng``."""
+    one stacked norm per hom pair; the largest norm gain, or 0 if none is
+    positive, which norm-decrease reports; and per nonempty hom-space the
+    relative norm gains (||act(a)|| - ||a||) / max(||a||, 1) of ``samples``
+    random morphisms a drawn from ``rng``."""
     n = src.n_objects
     mult = star = 0.0
     for x in range(n):
@@ -486,7 +487,8 @@ def _action_residuals(src: CStarCategory, act, images, rng: np.random.Generator,
         (x, y): [gain(src.random_morphism(rng, x, y)) for _ in range(samples)]
         for x in range(n) for y in range(n) if src.hom_dim(x, y)
     }
-    return float(mult), float(star), gains
+    decrease = max([0.0, *(v for g in gains.values() for v in g)])
+    return float(mult), float(star), decrease, gains
 
 
 def verify_functor(F: CStarFunctor, tol: Tolerance | None = None,
@@ -494,26 +496,23 @@ def verify_functor(F: CStarFunctor, tol: Tolerance | None = None,
     """Check multiplicativity, *-preservation, norm-decrease and the
     isometry property on hom-spaces where the action is injective.
 
-    Injectivity on hom(x, y) is ``numerical_rank`` of the stacked images of
+    Injectivity on hom(x, y) is ``stack_rank`` of the stacked images of
     its orthonormal basis.  The action is contractive, so each image has
     Frobenius norm at most sqrt(d), with d the smaller side of the image
     block; the cut at ``atol`` is absolute, not relative to that scale.
     """
     tol = resolve_tol(tol)
     src = F.source
-    mult, star, gains = _action_residuals(src, F._act, F.image_stack,
-                                          np.random.default_rng(seed), samples)
+    mult, star, decrease, gains = _action_residuals(src, F._act, F.image_stack,
+                                                    np.random.default_rng(seed), samples)
     isometry = 0.0
     for (x, y), g in gains.items():
-        k = src.hom_dim(x, y)
-        if numerical_rank(np.linalg.svd(F.image_stack(x, y).reshape(k, -1), compute_uv=False),
-                          tol) == k:
+        if stack_rank(F.image_stack(x, y), tol) == src.hom_dim(x, y):
             isometry = max([isometry, *map(abs, g)])
     report = Report(context="functor")
     report.add("multiplicativity", mult, tol.bound(1.0))
     report.add("star-preservation", star, tol.bound(1.0))
-    report.add("norm-decrease", max([0.0, *(v for g in gains.values() for v in g)]),
-               tol.bound(1.0))
+    report.add("norm-decrease", decrease, tol.bound(1.0))
     report.add("isometry-on-injective", isometry, tol.bound(1.0))
     return report
 
@@ -846,10 +845,13 @@ class IdempotentCompletion:
         for x in projections or ():
             base.check_object(x)
         self.pairs: list[tuple[int, np.ndarray, np.ndarray]] = []
+        objects = []
         for x in range(base.n_objects):
             d = base.dim(x)
             eye = np.eye(d, dtype=np.complex128)
             self.pairs.append((x, eye, eye))
+            objects.append((f"({base.label(x)}|id)", d))
+            first = len(self.pairs)
             supplied = projections.get(x, []) if projections else []
             for p in supplied:
                 mat = p.mat if isinstance(p, Morphism) else as_cmatrix(p, d, d)
@@ -863,17 +865,8 @@ class IdempotentCompletion:
                 evals, evecs = np.linalg.eigh(hermitian_part(mat))
                 isometry = evecs[:, evals > 0.5]
                 self.pairs.append((x, mat, isometry))
-
-        objects = []
-        counters: dict[int, int] = {}
-        for x, p, u in self.pairs:
-            rank = u.shape[1]
-            if p.shape[0] == rank and op_norm(p - np.eye(p.shape[0])) <= tol.bound(1.0):
-                tag = "id"
-            else:
-                counters[x] = counters.get(x, 0) + 1
-                tag = f"p{counters[x]}(rk{rank})"
-            objects.append((f"({base.label(x)}|{tag})", rank))
+                rank = isometry.shape[1]
+                objects.append((f"({base.label(x)}|p{len(self.pairs) - first}(rk{rank}))", rank))
         homs = {}
         for a, (x, p, u) in enumerate(self.pairs):
             for b, (y, q, v) in enumerate(self.pairs):

@@ -17,9 +17,10 @@ import sys
 import time
 
 from .errors import EngineError, InvalidInput, ParseError
-from .linalg import Tolerance, default_tolerance
+from .linalg import Tolerance, default_tolerance, orthonormal_span
 from .category import (
     AdditiveHull,
+    CStarCategory,
     _projection_report,
     idempotent_completion,
     matrix_algebra,
@@ -52,6 +53,7 @@ from .generators import (
 from .io import (
     SpecFile,
     FORMAT_VERSION,
+    _index,
     bimodule_from_payload,
     category_from_payload,
     decode_matrix,
@@ -63,7 +65,6 @@ from .io import (
     save_specfile,
     specfile_for,
 )
-from .linalg import orthonormal_span
 from .report import Report
 
 
@@ -121,7 +122,9 @@ def cmd_verify(args) -> tuple[str, list, Report]:
     if spec.kind == "category":
         report = verify_category(realize(spec, tol), tol, seed=args.seed)
     elif spec.kind == "module":
-        report = _projection_report(*decode_module_payload(spec.payload, tol), tol)
+        cat, base, proj = decode_module_payload(spec.payload, tol)
+        report = _projection_report(cat, base, proj, tol)
+        report.extend(verify_category(cat, tol, seed=args.seed), prefix="category:")
     elif spec.kind == "bimodule":
         report = verify_bimodule(realize(spec, tol), tol, seed=args.seed)
     else:
@@ -153,10 +156,7 @@ def _multiplier_realization(cat, tol) -> SpecFile:
             mats = [m.apply_L(cat.unit(x)).mat for m in space]
             if mats:
                 homs[(x, y)] = orthonormal_span(mats, tol)
-    from .category import CStarCategory
-
-    realized = CStarCategory(cat.objects, homs, tol=tol)
-    return specfile_for(realized)
+    return specfile_for(CStarCategory(cat.objects, homs, tol=tol))
 
 
 def cmd_construct(args) -> tuple[str, list, Report]:
@@ -185,9 +185,8 @@ def cmd_construct(args) -> tuple[str, list, Report]:
                         raw = json.load(fh)
                     projections = {}
                     for entry in raw:
-                        projections.setdefault(int(entry["object"]), []).append(
-                            decode_matrix(entry["mat"])
-                        )
+                        x = _index(entry["object"], "projection object")
+                        projections.setdefault(x, []).append(decode_matrix(entry["mat"]))
                 except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise ParseError(f"bad projections file: {exc!r}") from exc
             out = specfile_for(idempotent_completion(cat, projections, tol).cat)

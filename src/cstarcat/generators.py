@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import InvalidInput
 from .linalg import Tolerance, _size_slices, hermitian_part, random_complex, resolve_tol
-from .category import CStarCategory, CStarFunctor, random_block
+from .category import CStarCategory, CStarFunctor, polar_unitary, random_block
+from .modules import HilbertModule, ModuleOperator, direct_sum, representable
+from .bimodules import Bimodule
 
 __all__ = [
     "FiniteGroupoid",
@@ -269,8 +271,6 @@ def unitary_twist_functor(cat: CStarCategory, seed: int = 0) -> CStarFunctor:
     hom-space into itself: a convenient source of non-identity category
     automorphisms whose induced bimodules compose with each other.
     """
-    from .category import polar_unitary
-
     rng = np.random.default_rng(seed)
     unitaries = []
     for x in range(cat.n_objects):
@@ -330,8 +330,6 @@ def _middle_gap_projection(herm: np.ndarray, floor: float | None = None) -> np.n
 def random_module(seed: int, cat: CStarCategory, max_base: int = 3):
     """Random f.g.p. module: random base list plus a spectral projection of
     a random symmetrized block endomorphism of that list."""
-    from .modules import HilbertModule
-
     if max_base <= 0:
         raise InvalidInput(f"max_base must be positive, got {max_base}")
     rng = np.random.default_rng(seed)
@@ -348,8 +346,6 @@ def random_subprojection(rng: np.random.Generator, module):
     module projection automatically because the kept eigenvalues are nonzero.
     Returns the zero operator when the spectrum offers no usable gap.
     """
-    from .modules import ModuleOperator
-
     raw = random_block(rng, module.cat, module.base, module.base)
     comp = module.proj @ raw @ module.proj
     proj = _middle_gap_projection(comp + comp.conj().T, floor=1e-6)
@@ -364,9 +360,6 @@ def bimodule_from_functor(F: CStarFunctor, tol: Tolerance | None = None):
     ob(x) is the representable module at F(x); the action is post-composition
     by F(a).
     """
-    from .bimodules import Bimodule
-    from .modules import representable
-
     tol = resolve_tol(tol)
     src, dst = F.source, F.target
     ob_map = [representable(dst, F.object_map[x]) for x in range(src.n_objects)]
@@ -383,9 +376,6 @@ def degenerate_double(cat: CStarCategory, tol: Tolerance | None = None):
     ob(x) is h_x ⊕ h_x but the action lands in the first summand only, so
     mor(id_x) is a rank-one-sided projection and non-degeneracy fails.
     """
-    from .bimodules import Bimodule
-    from .modules import direct_sum, representable
-
     tol = resolve_tol(tol)
     ob_map = []
     for x in range(cat.n_objects):

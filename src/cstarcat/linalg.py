@@ -23,6 +23,7 @@ __all__ = [
     "default_tolerance",
     "resolve_tol",
     "numerical_rank",
+    "stack_rank",
     "as_cmatrix",
     "op_norm",
     "op_norms",
@@ -89,6 +90,15 @@ def numerical_rank(values, tol: Tolerance | None = None) -> int:
     exactly at ``atol`` is dropped; empty ``values`` have rank 0.
     """
     return int(np.count_nonzero(np.asarray(values) > resolve_tol(tol).atol))
+
+
+def stack_rank(stack, tol: Tolerance | None = None) -> int:
+    """``numerical_rank`` of a (k, ...) stack flattened to k rows, from its
+    singular values alone: the engine's one rank of a stack of matrices or
+    vectors.  A stack with no rows has rank 0."""
+    arr = np.asarray(stack)
+    flat = arr.reshape(len(arr), math.prod(arr.shape[1:]))
+    return numerical_rank(np.linalg.svd(flat, compute_uv=False), tol)
 
 
 def as_cmatrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray:

@@ -27,6 +27,7 @@ from .linalg import (
     psd_eigh,
     resolve_tol,
     span_eval,
+    stack_rank,
 )
 from .category import (
     CStarCategory,
@@ -163,6 +164,19 @@ class HilbertModule:
         return f"HilbertModule(base=[{labels}], rank~{np.trace(self.proj).real:.1f})"
 
 
+def _check_block(cat: CStarCategory, tol: Tolerance, src_lst, dst_lst, block: np.ndarray,
+                 compressed: np.ndarray, what: str) -> None:
+    """Raise ``InvalidInput`` unless ``block`` equals ``compressed``, its
+    compression by the module projections, within ``tol.bound(max(||block||,
+    1))`` and lies in the block hom-space from ``src_lst`` to ``dst_lst``
+    within ``tol.bound(||block||_F)``."""
+    res = op_norm(compressed - block)
+    if res > tol.bound(max(op_norm(block), 1.0)):
+        raise InvalidInput(f"{what} is not compressed by the module projections ({res:.3e})")
+    if block_residual(cat, src_lst, dst_lst, block) > tol.bound(frobenius_norm(block)):
+        raise InvalidInput(f"{what} blocks are not in their hom-spaces")
+
+
 class ModuleElement:
     """Column of morphisms presenting a module element at one object."""
 
@@ -173,16 +187,8 @@ class ModuleElement:
         self.at = module.cat.check_object(at)
         self.col = as_cmatrix(col, module.total_dim, module.cat.dim(at))
         if validate:
-            tol = module.tol
-            res = op_norm(module.proj @ self.col - self.col)
-            if res > tol.bound(max(op_norm(self.col), 1.0)):
-                raise InvalidInput(
-                    f"column is not invariant under the module projection ({res:.3e})"
-                )
-            if block_residual(module.cat, (self.at,), module.base, self.col) > tol.bound(
-                frobenius_norm(self.col)
-            ):
-                raise InvalidInput("column blocks are not in their hom-spaces")
+            _check_block(module.cat, module.tol, (self.at,), module.base, self.col,
+                         module.proj @ self.col, "column")
 
     def inner(self, other: "ModuleElement") -> Morphism:
         return inner_product(self, other)
@@ -229,15 +235,8 @@ class ModuleOperator:
         self.cod = cod
         self.block = as_cmatrix(block, cod.total_dim, dom.total_dim)
         if validate:
-            tol = dom.tol
-            scale = max(op_norm(self.block), 1.0)
-            res = op_norm(cod.proj @ self.block @ dom.proj - self.block)
-            if res > tol.bound(scale):
-                raise InvalidInput(f"block is not compressed by the two projections ({res:.3e})")
-            if block_residual(dom.cat, dom.base, cod.base, self.block) > tol.bound(
-                frobenius_norm(self.block)
-            ):
-                raise InvalidInput("operator blocks are not in their hom-spaces")
+            _check_block(dom.cat, dom.tol, dom.base, cod.base, self.block,
+                         cod.proj @ self.block @ dom.proj, "operator")
 
     def apply(self, e: ModuleElement) -> ModuleElement:
         if e.module is not self.dom:
@@ -270,9 +269,15 @@ class ModuleOperator:
         return f"ModuleOperator(norm={self.norm():.4g})"
 
 
+def _free_module(cat: CStarCategory, base, tol: Tolerance | None = None) -> HilbertModule:
+    """The free module on the object list ``base``: the identity projection."""
+    eye = np.eye(_layout(cat, base).dim, dtype=np.complex128)
+    return HilbertModule(cat, base, eye, tol=tol, validate=False)
+
+
 def representable(cat: CStarCategory, x: int) -> HilbertModule:
     """The module of morphisms into ``x``: base [x], identity projection."""
-    return HilbertModule(cat, (x,), np.eye(cat.dim(x), dtype=np.complex128), validate=False)
+    return _free_module(cat, (x,))
 
 
 def inner_product(e: ModuleElement, f: ModuleElement) -> Morphism:
@@ -364,11 +369,8 @@ def free_cover(E: HilbertModule) -> tuple[HilbertModule, ModuleOperator]:
     φ φ* = id_E and φ* φ = the presentation projection, which also splits
     the free module with image E.
     """
-    free = HilbertModule(
-        E.cat, E.base, np.eye(E.total_dim, dtype=np.complex128), validate=False
-    )
-    phi = ModuleOperator(free, E, E.proj, validate=False)
-    return free, phi
+    free = _free_module(E.cat, E.base)
+    return free, ModuleOperator(free, E, E.proj, validate=False)
 
 
 def split_projection(P: ModuleOperator) -> tuple[HilbertModule, HilbertModule, ModuleOperator]:
@@ -421,7 +423,7 @@ def unitary_operator_report(T: ModuleOperator, tol: Tolerance | None = None) -> 
     block).  Since T = T P, these have the singular values of T over the
     evaluation space plus zeros, so no domain evaluation basis is built.
     Each image has Frobenius norm at most ||T||, which is 1 for an isometry,
-    and ``numerical_rank`` cuts them at ``atol`` on that unit scale.
+    and ``stack_rank`` cuts them at ``atol`` on that unit scale.
     """
     tol = resolve_tol(tol if tol is not None else T.dom.tol)
     report = Report(context="unitary-operator")
@@ -430,9 +432,7 @@ def unitary_operator_report(T: ModuleOperator, tol: Tolerance | None = None) -> 
     cat, deficit = T.dom.cat, 0
     for y in range(cat.n_objects):
         images = [T.block[:, sl] @ cat.hom_basis(y, x) for x, sl in zip(T.dom.base, T.dom.slices)]
-        flat = np.concatenate(images).reshape(-1, T.cod.total_dim * cat.dim(y))
-        rank = numerical_rank(np.linalg.svd(flat, compute_uv=False), tol)
-        deficit = max(deficit, T.cod.eval_dim(y) - rank)
+        deficit = max(deficit, T.cod.eval_dim(y) - stack_rank(np.concatenate(images), tol))
     report.add("surjectivity-deficit", float(deficit), 0.5)
     return report
 

@@ -15,20 +15,21 @@ import numpy as np
 
 from .errors import InvalidInput, NotInvertible
 from .linalg import (Tolerance, as_cmatrix, frac_power, hermitian_part, numerical_rank, op_norm,
-                     op_norms, psd_eigh, resolve_tol, span_eval)
+                     op_norms, psd_eigh, resolve_tol, span_eval, stack_rank)
 from .category import (
     CStarCategory,
     MatrixAlgebra,
     Morphism,
     _layout,
     _set_blocks,
-    list_dim,
     matrix_algebra,
+    random_block,
 )
 from .modules import (
     HilbertModule,
     ModuleElement,
     ModuleOperator,
+    _free_module,
     bounded_operator_basis,
     unitary_operator_report,
 )
@@ -185,7 +186,7 @@ def _fiber_of(E: Bimodule, e: ModuleElement) -> int:
 def check_full(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool, Report]:
     """Do the target-valued products span every hom-space of the target?
 
-    The rank at (y, y') is ``numerical_rank`` of the stacked hom coordinates
+    The rank at (y, y') is ``stack_rank`` of the stacked hom coordinates
     of the products <e, f> = e* f of evaluation basis elements.  Those have
     unit Frobenius norm, so each row has norm at most 1 and the cut at
     ``atol`` is absolute on a unit scale.
@@ -208,8 +209,7 @@ def check_full(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool, Report]
                 prods = (cols[yp].conj().T @ cols[y]).reshape(
                     cols[yp].shape[1] // a, a, cols[y].shape[1] // b, b).swapaxes(1, 2)
                 coords.append(dst.hom_coords(y, yp, prods).reshape(-1, target_dim))
-            rank = numerical_rank(np.linalg.svd(np.concatenate(coords), compute_uv=False), tol)
-            deficit = max(deficit, target_dim - rank)
+            deficit = max(deficit, target_dim - stack_rank(np.concatenate(coords), tol))
     report.add("product-span-deficit", float(deficit), 0.5)
     return deficit == 0, report
 
@@ -222,7 +222,7 @@ def check_imprimitivity(E: Bimodule, tol: Tolerance | None = None,
     Returns the bi-Hilbert data when the action is faithful and onto the
     compact operators (left products are then defined), else ``None``.
 
-    Both deficits read ``numerical_rank`` of the action images of an
+    Both deficits read ``stack_rank`` of the action images of an
     orthonormal basis of hom(x, x').  The action is contractive, so each
     image has Frobenius norm at most sqrt(d), with d the smaller side of the
     image block; the cut at ``atol`` is absolute, not relative to that scale.
@@ -237,10 +237,8 @@ def check_imprimitivity(E: Bimodule, tol: Tolerance | None = None,
     for x in range(src.n_objects):
         for xp in range(src.n_objects):
             stack = E.mor_stack(x, xp)
-            k = stack.shape[0]
-            rank = numerical_rank(np.linalg.svd(stack.reshape(k, -1), compute_uv=False),
-                                  tol) if k else 0
-            faithful_deficit = max(faithful_deficit, k - rank)
+            rank = stack_rank(stack, tol)
+            faithful_deficit = max(faithful_deficit, stack.shape[0] - rank)
             compacts = bounded_operator_basis(E.ob(x), E.ob(xp), tol)
             onto_deficit = max(onto_deficit, compacts.shape[0] - rank)
     report.add("faithful-deficit", float(faithful_deficit), 0.5)
@@ -503,13 +501,9 @@ def mat_equivalence(cat: CStarCategory,
     """
     tol = resolve_tol(tol if tol is not None else cat.tol)
     alg = matrix_algebra(cat, tol)
-    free = HilbertModule(
-        cat, alg.full_list,
-        np.eye(list_dim(cat, alg.full_list), dtype=np.complex128),
-        tol=tol, validate=False,
-    )
     mor_blocks = {(0, 0): alg.cat.hom_basis(0, 0).copy()}
-    E = Bimodule(alg.cat, cat, [free], mor_blocks, tol=tol, validate=False)
+    E = Bimodule(alg.cat, cat, [_free_module(cat, alg.full_list, tol)], mor_blocks, tol=tol,
+                 validate=False)
     data, report = check_imprimitivity(E, tol)
     if data is None or not report.passed:
         raise InvalidInput(f"matrix algebra bimodule failed its own certificate:\n{report}")
@@ -560,14 +554,9 @@ class WhiskeredTransform:
     def component_via_cover(self, M: HilbertModule, seed: int = 0) -> ModuleOperator:
         """Second route: pull the free-module extension through a random
         co-isometric cover of M; must agree with the direct route."""
-        from .category import random_block
-
         rng = np.random.default_rng(seed)
         base2 = M.base + M.base
-        free2 = HilbertModule(
-            M.cat, base2, np.eye(list_dim(M.cat, base2), dtype=np.complex128),
-            tol=M.tol, validate=False,
-        )
+        free2 = _free_module(M.cat, base2, M.tol)
         raw = M.proj @ random_block(rng, M.cat, base2, M.base)
         gram = raw @ raw.conj().T
         phi = frac_power(gram, -0.5, M.tol) @ raw

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import Tolerance, null_space, numerical_rank, op_norms, resolve_tol, span_eval
+from .linalg import Tolerance, null_space, op_norms, resolve_tol, span_eval, stack_rank
 from .category import CStarCategory, Morphism
 from .report import Report
 
@@ -194,7 +194,7 @@ class MultiplierCategory:
     def verify(self) -> Report:
         """Unital collapse: κ is a linear bijection onto each multiplier space.
 
-        Injectivity is ``numerical_rank`` of the stacked vectors (L, R) of κ
+        Injectivity is ``stack_rank`` of the stacked vectors (L, R) of κ
         on an orthonormal hom basis.  L and R are coordinate matrices of
         composition with a morphism of norm at most 1, so each vector has
         norm at most sqrt(dim hom(x, x) + dim hom(y, y)); the cut at ``atol``
@@ -215,8 +215,7 @@ class MultiplierCategory:
                     self.kappa(self.cat.morphism(x, y, b, validate=False)).vec()
                     for b in self.cat.hom_basis(x, y)
                 ])
-                rank = numerical_rank(np.linalg.svd(kappa_vecs, compute_uv=False), self.tol)
-                inject_gap = max(inject_gap, dxy - rank)
+                inject_gap = max(inject_gap, dxy - stack_rank(kappa_vecs, self.tol))
                 if space:
                     null_mat = np.stack([m.vec() for m in space])
                     q, _ = np.linalg.qr(null_mat.T)

@@ -566,12 +566,12 @@ def test_accessors_reject_bad_object_indices(bad):
 
 
 @pytest.mark.parametrize("defect", ["missing", "count", "shape", "nan"])
-@pytest.mark.parametrize("kind", ["bimodule", "functor"])
+@pytest.mark.parametrize("kind", ["bimodule", "unvalidated", "functor"])
 def test_action_stacks_are_complete_and_shaped(kind, defect):
     """Bimodules and functors read their action stacks one way: an ndarray
     is kept without a copy, a pair may be missing only over an empty
     hom-space, and a wrong count or block shape is ``InvalidInput``; so is
-    a non-finite entry."""
+    a non-finite entry, also where the bimodule skips validation."""
     from cstarcat.category import CStarFunctor
     from cstarcat.errors import InvalidInput
 
@@ -580,11 +580,12 @@ def test_action_stacks_are_complete_and_shaped(kind, defect):
     stacks = {(x, y): base.hom_basis(x, y).copy() for x in range(n) for y in range(n)}
 
     def build(action):
-        if kind == "bimodule":
-            return Bimodule(base, base, [representable(base, x) for x in range(n)], action)
-        return CStarFunctor(base, base, range(n), action)
+        if kind == "functor":
+            return CStarFunctor(base, base, range(n), action)
+        return Bimodule(base, base, [representable(base, x) for x in range(n)], action,
+                        validate=kind == "bimodule")
 
-    read = "mor_stack" if kind == "bimodule" else "image_stack"
+    read = "image_stack" if kind == "functor" else "mor_stack"
     built = build({pair: stack for pair, stack in stacks.items() if pair != (0, 1)})
     assert getattr(built, read)(0, 1).shape == (0, base.dim(1), base.dim(0))
     assert getattr(built, read)(2, 0) is stacks[2, 0]

@@ -126,11 +126,15 @@ def test_idempotent_completion_identity_only(cat23):
 
 def test_idempotent_completion_rank_one_corner(m2):
     p = m2.morphism(0, 0, np.diag([1.0, 0.0]))
-    comp = idempotent_completion(m2, {0: [p]})
+    comp = idempotent_completion(m2, {0: [p, np.eye(2), np.diag([0.0, 1.0])]})
     idx = comp.pair_index(0, p.mat)
     assert comp.cat.dim(idx) == 1
     assert comp.cat.hom_dim(idx, idx) == 1
     assert verify_category(comp.cat, samples=1).passed
+    # the identity pair is tagged once; a supplied identity adds no pair
+    label = m2.label(0)
+    assert [name for name, _ in comp.cat.objects] == [
+        f"({label}|id)", f"({label}|p1(rk1))", f"({label}|p2(rk1))"]
 
 
 def test_idempotent_completion_rejects_non_projection(m2):

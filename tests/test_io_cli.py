@@ -10,6 +10,7 @@ from cstarcat.cli import main
 from cstarcat.errors import ParseError
 from cstarcat.io import (
     dumps_canonical,
+    encode_matrix,
     load_specfile,
     realize,
     save_specfile,
@@ -280,6 +281,37 @@ def test_groupoid_index_of_wrong_type_is_input_error(tmp_path, capsys, mutate):
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("obj", [0.9, "0", True], ids=["fractional", "string", "bool"])
+def test_idem_projection_object_of_wrong_type_is_input_error(tmp_path, capsys, obj):
+    """``construct idem --projections`` takes each object index as a JSON
+    integer, as the file format does: none is rounded or cast."""
+    src = FIXTURES / "category_block_0.cstar.json"
+    eye = encode_matrix(np.eye(realize(load_specfile(src)).dim(0)))
+    path = tmp_path / "projections.json"
+    args = ["construct", "idem", str(src), "--projections", str(path)]
+    path.write_text(json.dumps([{"object": 0, "mat": eye}]))
+    assert main(args) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps([{"object": obj, "mat": eye}]))
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_verify_module_checks_its_category(tmp_path, capsys):
+    """``verify`` on a module also verifies its category: with an empty
+    basis for hom(0, 0), object 0 has no identity and the module fails."""
+    spec = load_specfile(FIXTURES / "module_0.cstar.json")
+    homs = spec.payload["category"]["homs"]
+    next(h for h in homs if (h["src"], h["dst"]) == (0, 0))["basis"] = []
+    path = tmp_path / "module.cstar.json"
+    save_specfile(path, spec)
+    assert main(["verify", str(path), "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = [c["name"] for c in checks if not c["pass"]]
+    assert failed and all(name.startswith("category:") for name in failed)
 
 
 def test_bad_action_key_is_input_error(tmp_path, capsys):

@@ -23,6 +23,7 @@ from cstarcat.linalg import (
     span_coords,
     span_eval,
     span_residual,
+    stack_rank,
 )
 
 TOL = Tolerance()
@@ -354,6 +355,7 @@ def test_numerical_rank_matches_matrix_rank(rows, cols):
         m = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
         ref = np.linalg.matrix_rank(m, tol=TOL.atol)
         assert numerical_rank(np.linalg.svd(m, compute_uv=False), TOL) == ref == rank
+        assert stack_rank(m, TOL) == ref  # a stack of rows
         # hermitian=True ranks |eigvalsh|; on a PSD operand the signed spectrum agrees
         psd = m @ m.conj().T
         ref = np.linalg.matrix_rank(psd, tol=TOL.atol, hermitian=True)
@@ -361,25 +363,47 @@ def test_numerical_rank_matches_matrix_rank(rows, cols):
         assert numerical_rank(np.linalg.eigvalsh(psd), TOL) == rank
 
 
+@pytest.mark.parametrize("k, rows, cols, rank", [
+    (0, 3, 4, 0),   # no rows: reshape(0, -1) cannot infer the row length
+    (1, 3, 4, 1),
+    (6, 3, 4, 2),
+    (12, 2, 3, 8),  # the row length, not the plant, bounds the rank
+    (5, 4, 4, 5),
+])
+def test_stack_rank_matches_matrix_rank_of_the_flattened_stack(k, rows, cols, rank):
+    rng = np.random.default_rng(100 * k + 10 * rows + cols)
+    flat = random_complex(rng, k, rank) @ random_complex(rng, rank, rows * cols)
+    stack = flat.reshape(k, rows, cols)
+    ref = np.linalg.matrix_rank(flat, tol=TOL.atol)
+    assert stack_rank(stack, TOL) == ref == min(k, rank, rows * cols)
+
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cstarcat"
 
 
 def _rank_cuts(source: str, primitive: str | None = None) -> list[tuple[int, str]]:
     """(line, what) of every ``matrix_rank``/``pinv`` call and every ordering
-    comparison with an ``.atol`` attribute outside the function ``primitive``."""
+    comparison with an ``.atol`` attribute outside the function ``primitive``,
+    and of every singular-values-only ``svd(..., compute_uv=False)`` call
+    outside ``stack_rank``, the one rank of a stack."""
     tree = ast.parse(source)
-    inside = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef) and fn.name == primitive
-              for node in ast.walk(fn)}
+
+    def inside(name):
+        return {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == name for node in ast.walk(fn)}
+
+    cut, stacked = inside(primitive), inside("stack_rank")
     found = []
     for node in ast.walk(tree):
-        if id(node) in inside:
-            continue
         if isinstance(node, ast.Call):
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if name in ("matrix_rank", "pinv"):
+            if name in ("matrix_rank", "pinv") and id(node) not in cut:
                 found.append((node.lineno, f"{name}("))
-        elif (isinstance(node, ast.Compare)
+            elif name == "svd" and id(node) not in stacked and any(
+                    kw.arg == "compute_uv" and getattr(kw.value, "value", True) is False
+                    for kw in node.keywords):
+                found.append((node.lineno, "svd(compute_uv=False)"))
+        elif (isinstance(node, ast.Compare) and id(node) not in cut
               and any(isinstance(op, (ast.Lt, ast.Gt, ast.LtE, ast.GtE)) for op in node.ops)
               and any(isinstance(side, ast.Attribute) and side.attr == "atol"
                       for side in (node.left, *node.comparators))):
@@ -392,8 +416,9 @@ def test_rank_cut_scanner_finds_each_form():
               "r = np.linalg.matrix_rank(a, tol=tol.atol)\n"
               "p = np.linalg.pinv(a)\n"
               "k = int(np.sum(s > tol.atol))\n"
-              "z = np.where(evals <= self.tol.atol, 0.0, evals)\n")
-    assert [line for line, _ in _rank_cuts(sample)] == [2, 3, 4, 5]
+              "z = np.where(evals <= self.tol.atol, 0.0, evals)\n"
+              "s = np.linalg.svd(stack.reshape(k, -1), compute_uv=False)\n")
+    assert [line for line, _ in _rank_cuts(sample)] == [2, 3, 4, 5, 6]
 
 
 def test_every_rank_cut_goes_through_numerical_rank():

@@ -283,6 +283,38 @@ def test_split_rejects_non_projection(cat, rng):
         split_projection(not_proj)
 
 
+@pytest.mark.parametrize("kind", ["element", "operator"])
+def test_elements_and_operators_are_checked_one_way(cat, rng, kind):
+    """A validated element, or operator from a representable, must equal its
+    compression by the module projection and have its blocks in their
+    hom-spaces: each check rejects on its own, and a block meeting both
+    passes."""
+    from cstarcat.category import random_block
+    from cstarcat.errors import InvalidInput
+    from cstarcat.modules import HilbertModule, ModuleElement
+
+    n = cat.n_objects
+    x, y = next((x, y) for x in range(n) for y in range(n)
+                if 0 < cat.hom_dim(x, y) < cat.dim(x) * cat.dim(y))
+    half = np.zeros((2 * cat.dim(y),) * 2, dtype=complex)  # the first of two copies of y
+    half[:cat.dim(y), :cat.dim(y)] = np.eye(cat.dim(y))
+    module = HilbertModule(cat, (y, y), half)
+    raw = random_block(rng, cat, (x,), (y, y))  # blocks in hom(x, y), not compressed
+    off = rng.standard_normal((cat.dim(y), cat.dim(x))) + 0j
+    off -= cat.hom_project(x, y, off)  # orthogonal to hom(x, y)
+
+    def build(target, block):
+        if kind == "element":
+            return ModuleElement(target, x, block)
+        return ModuleOperator(representable(cat, x), target, block)
+
+    build(module, half @ raw)
+    with pytest.raises(InvalidInput, match="compressed"):
+        build(module, raw - half @ raw)
+    with pytest.raises(InvalidInput, match="hom-spaces"):
+        build(representable(cat, y), off)
+
+
 def test_yoneda_element_needs_representable_domain(cat, rng):
     from cstarcat.errors import InvalidInput
 
