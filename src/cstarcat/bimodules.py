@@ -194,13 +194,9 @@ def check_nondegenerate(E: Bimodule, tol: Tolerance | None = None) -> tuple[bool
     src, dst = E.source, E.target
     report = Report(context="nondegenerate")
     unit_res = 0.0
-    unit_ok = True
     for x in range(src.n_objects):
-        module = E.ob(x)
-        image = E.mor(src.unit(x))
-        res = op_norm(image.block - module.proj)
-        unit_res = max(unit_res, res)
-        unit_ok = unit_ok and res <= tol.bound(1.0) * 10
+        unit_res = max(unit_res, op_norm(E.mor(src.unit(x)).block - E.ob(x).proj))
+    unit_ok = unit_res <= tol.bound(1.0) * 10
     report.add("unit-acts-as-identity", unit_res, tol.bound(1.0) * 10)
 
     deficit = 0
@@ -267,13 +263,15 @@ class QuotientTensor:
     at x and e in E(x)'s at z, and their Gram is w* A w.  ``products`` = A,
     shared by every z, holds the formula products E(<m, m'>), one block per
     pair of M's basis elements, from one ``Bimodule._act`` per pair of source
-    objects.  ``frames[z]`` = w is the block diagonal, one block per m, of
-    the fibers' evaluation bases side by side; ``factors[z]`` = r is its QR
-    factor, w* = q r with q orthonormal (one QR per fiber).  So the Gram is
-    q (r A r*) q*, and ``gram[z]`` = r A r* has its norm and nonzero
-    spectrum at the fibers' width.  ``dims[z]`` is the rank of the Frobenius
-    Gram sum_k w_k* A w_k, w_k the k-th column of every generator.  The
-    oracle shares only the bimodule action with the projection route.
+    objects; ``basis`` holds M's evaluation bases side by side, m's at the
+    source object ``objects[m]``.  ``frames[z]`` = w is the block diagonal,
+    one block per m, of the fibers' evaluation bases side by side;
+    ``factors[z]`` = r is its QR factor, w* = q r with q orthonormal (one QR
+    per fiber).  So the Gram is q (r A r*) q*, and ``gram[z]`` = r A r* has
+    its norm and nonzero spectrum at the fibers' width.  ``dims[z]`` is the
+    rank of the Frobenius Gram sum_k w_k* A w_k, w_k the k-th column of every
+    generator.  The oracle shares only the bimodule action with the
+    projection route.
     """
 
     def __init__(self, M: HilbertModule, E: Bimodule, tol: Tolerance | None = None):
@@ -292,13 +290,14 @@ class QuotientTensor:
             return out.reshape(p * out.shape[1], pp * out.shape[3])
 
         self.products = np.block([[acted(x, xp) for xp in objs] for x in objs])
-        xs = [x for x in objs for _ in range(M.eval_dim(x))]
+        self.objects = tuple(x for x in objs for _ in range(M.eval_dim(x)))
+        self.basis = np.concatenate(cols, axis=1)
         self.generators, self.frames, self.factors, self.gram, self.dims = {}, {}, {}, {}, {}
         for z in range(dst.n_objects):
             wide = [_side_by_side(E.ob(x).eval_stack(z)) for x in objs]
             rs = [np.linalg.qr(v.conj().T, mode="r") for v in wide]
-            w = self.frames[z] = _block_diagonal([wide[x] for x in xs])
-            r = self.factors[z] = _block_diagonal([rs[x] for x in xs])
+            w = self.frames[z] = _block_diagonal([wide[x] for x in self.objects])
+            r = self.factors[z] = _block_diagonal([rs[x] for x in self.objects])
             self.gram[z] = r @ self.products @ r.conj().T
             self.generators[z] = [(m, e) for x in objs for m in M.eval_basis(x)
                                   for e in E.ob(x).eval_basis(z)]
@@ -334,7 +333,7 @@ def _cross_check(tensor: TensorModule, tol: Tolerance) -> Report:
     """``tensor_cross_check`` on an already built projection tensor.
 
     The realized generators at z are the columns of Z w, w the oracle's frame
-    and Z = P E(B), with B M's evaluation bases side by side (one
+    and Z = P E(B), with B the oracle's ``basis`` over its ``objects`` (one
     ``hull_extend`` for every z) and P the tensor's projection.  With w* = q r
     both Grams are q (.) q*, of (Z r*)* (Z r*) and of r A r*.  As q has
     orthonormal columns, each check is exact at the fibers' width: the
@@ -342,10 +341,7 @@ def _cross_check(tensor: TensorModule, tol: Tolerance) -> Report:
     """
     M, E = tensor.M, tensor.E
     oracle = tensor_quotient_oracle(M, E, tol)
-    objs = range(E.source.n_objects)
-    xs = tuple(x for x in objs for _ in range(M.eval_dim(x)))
-    basis = np.concatenate([_side_by_side(M.eval_stack(x)) for x in objs], axis=1)
-    realized = tensor.module.proj @ E.hull_extend(xs, M.base, basis)
+    realized = tensor.module.proj @ E.hull_extend(oracle.objects, M.base, oracle.basis)
     dim_gap, spec_res, entry_res = 0, 0.0, 0.0
     for z, gram in oracle.gram.items():
         dim_gap = max(dim_gap, abs(tensor.module.eval_dim(z) - oracle.dims[z]))

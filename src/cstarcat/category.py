@@ -70,12 +70,15 @@ __all__ = [
 ]
 
 
-def _check_pair_keys(mapping, n: int, what: str) -> None:
+def _check_pair_keys(mapping, cat: "CStarCategory", what: str) -> None:
     """Reject keys of a (src, dst)-indexed mapping that name no object pair."""
     for key in mapping if mapping is not None else ():
-        pair = key if isinstance(key, tuple) and len(key) == 2 else ()
-        if not pair or not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in pair):
-            raise InvalidInput(f"{what} key {key!r} is not a pair of object indices below {n}")
+        try:
+            src, dst = key if isinstance(key, tuple) else ()
+            cat.check_object(src), cat.check_object(dst)
+        except (ValueError, InvalidInput):
+            raise InvalidInput(f"{what} key {key!r} is not a pair of object indices "
+                               f"below {cat.n_objects}") from None
 
 
 def _pair_stacks(cat: "CStarCategory", mapping, sizes, what: str) -> dict:
@@ -84,7 +87,7 @@ def _pair_stacks(cat: "CStarCategory", mapping, sizes, what: str) -> dict:
     A pair may be missing (or empty) only where its hom-space is empty.  A
     complex ndarray is kept as it is, not copied.  The largest stacks, a
     tensor's and the conjugate's, are built per pair on first read instead."""
-    _check_pair_keys(mapping, cat.n_objects, what)
+    _check_pair_keys(mapping, cat, what)
     out = {}
     for x in range(cat.n_objects):
         for y in range(cat.n_objects):
@@ -129,15 +132,15 @@ class CStarCategory:
         self._labels: list[str] = []
         self._dims: list[int] = []
         for label, dim in objects:
-            dim = int(dim)
-            if dim <= 0:
-                raise InvalidInput(f"object {label!r} has non-positive dimension {dim}")
+            if (type(dim) is not int and not isinstance(dim, np.integer)) or dim <= 0:
+                raise InvalidInput(f"object {label!r} needs a positive integer dimension, "
+                                   f"got {dim!r}")
             self._labels.append(str(label))
-            self._dims.append(dim)
+            self._dims.append(int(dim))
         if not self._dims:
             raise InvalidInput("a category needs at least one object")
         n = len(self._dims)
-        _check_pair_keys(homs, n, "hom")
+        _check_pair_keys(homs, self, "hom")
         self._basis: dict[tuple[int, int], np.ndarray] = {}
         for x in range(n):
             for y in range(n):
@@ -151,10 +154,7 @@ class CStarCategory:
                     # trusted verbatim; verify_category reports the residual
                     self._basis[(x, y)] = stack
                 else:
-                    basis = orthonormal_span(stack, tol)
-                    if basis.shape[0] == 0:
-                        basis = np.zeros((0, dy, dx), dtype=np.complex128)
-                    self._basis[(x, y)] = basis
+                    self._basis[(x, y)] = orthonormal_span(stack, tol)
 
     # -- object table ------------------------------------------------------
 
@@ -173,6 +173,9 @@ class CStarCategory:
         return self._labels[self.check_object(x)]
 
     def check_object(self, x: int) -> int:
+        """``x`` as an object index: an integer (not a bool) in range."""
+        if type(x) is not int and not isinstance(x, np.integer):
+            raise InvalidInput(f"object index must be an integer, got {x!r}")
         if not 0 <= x < len(self._dims):
             raise InvalidInput(f"object index {x} out of range")
         return x
@@ -418,7 +421,7 @@ class CStarFunctor:
                  object_map, action):
         self.source = source
         self.target = target
-        self.object_map = tuple(target.check_object(int(v)) for v in object_map)
+        self.object_map = tuple(int(target.check_object(v)) for v in object_map)
         if len(self.object_map) != source.n_objects:
             raise InvalidInput("object map must cover every source object")
         self._action = _pair_stacks(source, action, [target.dim(f) for f in self.object_map],

@@ -17,7 +17,7 @@ import sys
 import time
 
 from .errors import EngineError, InvalidInput, ParseError
-from .linalg import Tolerance, default_tolerance, orthonormal_span
+from .linalg import Tolerance, as_cmatrix, default_tolerance, orthonormal_span
 from .category import (
     AdditiveHull,
     CStarCategory,
@@ -34,7 +34,7 @@ from .bimodules import (
     verify_bimodule,
     check_nondegenerate,
 )
-from .multipliers import multiplier_space
+from .multipliers import MultiplierCategory
 from .morita import (
     check_imprimitivity,
     conjugate_bimodule,
@@ -53,7 +53,6 @@ from .generators import (
 from .io import (
     SpecFile,
     FORMAT_VERSION,
-    _index,
     bimodule_from_payload,
     category_from_payload,
     decode_matrix,
@@ -144,18 +143,16 @@ def cmd_verify(args) -> tuple[str, list, Report]:
 
 def _multiplier_realization(cat, tol) -> SpecFile:
     """Category realized through the multiplier solve and κ-inverse."""
+    mult = MultiplierCategory(cat, tol)
     homs = {}
-    for x in range(cat.n_objects):
-        for y in range(cat.n_objects):
-            space = multiplier_space(cat, x, y, tol)
-            if len(space) != cat.hom_dim(x, y):
-                raise InvalidInput(
-                    f"multiplier space at ({x},{y}) has dimension {len(space)}, "
-                    f"hom-space has {cat.hom_dim(x, y)}; unital collapse failed"
-                )
-            mats = [m.apply_L(cat.unit(x)).mat for m in space]
-            if mats:
-                homs[(x, y)] = orthonormal_span(mats, tol)
+    for (x, y), space in mult.spaces.items():
+        if len(space) != cat.hom_dim(x, y):
+            raise InvalidInput(
+                f"multiplier space at ({x},{y}) has dimension {len(space)}, "
+                f"hom-space has {cat.hom_dim(x, y)}; unital collapse failed"
+            )
+        if space:
+            homs[(x, y)] = orthonormal_span([mult.kappa_inverse(m).mat for m in space], tol)
     return specfile_for(CStarCategory(cat.objects, homs, tol=tol))
 
 
@@ -185,9 +182,11 @@ def cmd_construct(args) -> tuple[str, list, Report]:
                         raw = json.load(fh)
                     projections = {}
                     for entry in raw:
-                        x = _index(entry["object"], "projection object")
-                        projections.setdefault(x, []).append(decode_matrix(entry["mat"]))
-                except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                        x = cat.check_object(entry["object"])
+                        mat = as_cmatrix(decode_matrix(entry["mat"]), cat.dim(x), cat.dim(x))
+                        projections.setdefault(x, []).append(mat)
+                except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+                        InvalidInput) as exc:
                     raise ParseError(f"bad projections file: {exc!r}") from exc
             out = specfile_for(idempotent_completion(cat, projections, tol).cat)
         else:

@@ -44,17 +44,16 @@ class FiniteGroupoid:
     inv : sequence, inv[g] = g^{-1}
     identity : sequence, identity[x] = id_x
 
-    ``validate`` checks the groupoid axioms exactly on the tables.
+    The groupoid axioms are checked exactly on the tables.
     """
 
-    def __init__(self, objects, morphisms, comp, inv, identity, validate=True):
+    def __init__(self, objects, morphisms, comp, inv, identity):
         self.objects = [str(o) for o in objects]
         self.morphisms = [(str(n), int(s), int(d)) for n, s, d in morphisms]
         self.comp = {(int(g), int(h)): int(k) for (g, h), k in comp.items()}
         self.inv = [int(i) for i in inv]
         self.identity = [int(i) for i in identity]
-        if validate:
-            self.validate()
+        self.validate()
 
     @property
     def n_objects(self) -> int:

@@ -189,20 +189,16 @@ def bimodule_payload(E: Bimodule) -> dict:
 
 
 def bimodule_from_payload(payload: dict, tol: Tolerance | None = None,
-                          source: CStarCategory | None = None,
-                          target: CStarCategory | None = None) -> Bimodule:
-    """Rebuild a bimodule; pass ``source``/``target`` to share category
-    instances, which requires their payloads to match exactly."""
+                          source: CStarCategory | None = None) -> Bimodule:
+    """Rebuild a bimodule; pass ``source`` to share a category instance,
+    which requires its payload to match exactly."""
     tol = resolve_tol(tol)
     try:
         if source is not None and category_payload(source) != payload["source"]:
             raise ParseError("provided source category does not match the payload")
-        if target is not None and category_payload(target) != payload["target"]:
-            raise ParseError("provided target category does not match the payload")
         if source is None:
             source = category_from_payload(payload["source"], tol)
-        if target is None:
-            target = category_from_payload(payload["target"], tol)
+        target = category_from_payload(payload["target"], tol)
         ob_map = [
             module_from_payload(spec, tol, cat=target) for spec in payload["ob_map"]
         ]

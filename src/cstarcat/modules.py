@@ -67,7 +67,7 @@ class HilbertModule:
     def __init__(self, cat: CStarCategory, base, proj, tol: Tolerance | None = None,
                  validate: bool = True):
         self.cat = cat
-        self.base: tuple[int, ...] = tuple(int(x) for x in base)
+        self.base: tuple[int, ...] = tuple(int(cat.check_object(x)) for x in base)
         if not self.base:
             raise InvalidInput("module base list must be non-empty")
         layout = _layout(cat, self.base)

@@ -73,17 +73,18 @@ class BiHilbertData:
     def __init__(self, bimodule: Bimodule, tol: Tolerance | None = None):
         self.bimodule = bimodule
         self.tol = resolve_tol(tol if tol is not None else bimodule.tol)
-        self._solvers: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+        self._solvers: dict[tuple[int, int], tuple[np.ndarray | None, int, int]] = {}
 
-    def _solver(self, src: int, dst: int) -> tuple[np.ndarray, int]:
-        """Pseudo-inverse of the flattened action on hom(src, dst), and k = dim hom(src, dst).
+    def _solver(self, src: int, dst: int) -> tuple[np.ndarray | None, int, int]:
+        """(pinv, k, rank) of the flattened action on hom(src, dst), k = dim hom(src, dst).
 
         The columns of the flat action are the images of an orthonormal hom
         basis, each of Frobenius norm at most sqrt(d) under a contractive
         action, with d the smaller side of the image block.  One SVD of its
         conjugate decides the rank (``numerical_rank``, an absolute cut at
-        ``atol``) and gives the pseudo-inverse, assembled in the order numpy's
-        ``linalg.pinv`` uses, so the two agree bit for bit.
+        ``atol``) that ``check_imprimitivity`` reads and, when rank = k, gives
+        the pseudo-inverse, assembled in the order numpy's ``linalg.pinv``
+        uses, so the two agree bit for bit; else pinv is ``None``.
         """
         key = (src, dst)
         if key not in self._solvers:
@@ -91,12 +92,9 @@ class BiHilbertData:
             k = stack.shape[0]
             flat = stack.reshape(k, -1).T if k else np.zeros((0, 0))
             u, s, vt = np.linalg.svd(flat.conj(), full_matrices=False)
-            if numerical_rank(s, self.tol) != k:
-                raise NotInvertible(
-                    f"action on hom({src},{dst}) is not injective; "
-                    "left products are undefined"
-                )
-            self._solvers[key] = (vt.T @ ((1 / s)[:, None] * u.T), k)
+            rank = numerical_rank(s, self.tol)
+            pinv = vt.T @ ((1 / s)[:, None] * u.T) if rank == k else None
+            self._solvers[key] = (pinv, k, rank)
         return self._solvers[key]
 
     def left_product(self, e: ModuleElement, f: ModuleElement) -> Morphism:
@@ -135,13 +133,16 @@ class BiHilbertData:
         one target object, as (..., dim(x), dim(xp)) matrices, with the
         residuals E(mats) - theta of their action against theta = e f*.
 
-        Raises ``NotInvertible`` where a residual exceeds
-        ``tol.bound(max(||theta||, 1)) * 100``; over an empty hom-space the
-        products are zero and the scale is ||e|| ||f||.
+        Raises ``NotInvertible`` where the action is not injective or a
+        residual exceeds ``tol.bound(max(||theta||, 1)) * 100``; over an
+        empty hom-space the products are zero and the scale is ||e|| ||f||.
         """
         src = self.bimodule.source
         theta = e_cols @ f_cols.conj().swapaxes(-1, -2)
-        pinv, k = self._solver(xp, x)
+        pinv, k, _ = self._solver(xp, x)
+        if pinv is None:
+            raise NotInvertible(f"action on hom({xp},{x}) is not injective; "
+                                "left products are undefined")
         if k == 0:
             if _single_rank_excess(theta, lambda: op_norms(e_cols) * op_norms(f_cols),
                                    self.tol) is not None:
@@ -222,23 +223,22 @@ def check_imprimitivity(E: Bimodule, tol: Tolerance | None = None,
     Returns the bi-Hilbert data when the action is faithful and onto the
     compact operators (left products are then defined), else ``None``.
 
-    Both deficits read ``stack_rank`` of the action images of an
-    orthonormal basis of hom(x, x').  The action is contractive, so each
-    image has Frobenius norm at most sqrt(d), with d the smaller side of the
-    image block; the cut at ``atol`` is absolute, not relative to that scale.
+    Both deficits read the rank of the action on hom(x, x') from the SVD
+    that also gives the left products (``BiHilbertData._solver``), so the
+    certificate and the products cannot disagree near ``atol``.
     """
     tol = resolve_tol(tol if tol is not None else E.tol)
     rng = np.random.default_rng(seed)
     src = E.source
     report = Report(context="imprimitivity")
 
+    data = BiHilbertData(E, tol)
     faithful_deficit = 0
     onto_deficit = 0
     for x in range(src.n_objects):
         for xp in range(src.n_objects):
-            stack = E.mor_stack(x, xp)
-            rank = stack_rank(stack, tol)
-            faithful_deficit = max(faithful_deficit, stack.shape[0] - rank)
+            _, k, rank = data._solver(x, xp)
+            faithful_deficit = max(faithful_deficit, k - rank)
             compacts = bounded_operator_basis(E.ob(x), E.ob(xp), tol)
             onto_deficit = max(onto_deficit, compacts.shape[0] - rank)
     report.add("faithful-deficit", float(faithful_deficit), 0.5)
@@ -250,7 +250,6 @@ def check_imprimitivity(E: Bimodule, tol: Tolerance | None = None,
     if faithful_deficit > 0 or onto_deficit > 0:
         return None, report
 
-    data = BiHilbertData(E, tol)
     # the samples in the order drawn, then one stacked evaluation per (x, x', y)
     # of the pairs (e, f) of the identity check followed by the pairs (e, e)
     # of the norm equality, which belong to (x, x, y)

@@ -371,6 +371,12 @@ def test_quotient_oracle_matches_pairwise_reference(kind, case):
     grams, dims = _reference_quotient_gram(M, E)
     oracle = tensor_quotient_oracle(M, E)
     A = oracle.products
+    # M's evaluation bases side by side, each column block at its object
+    cols = [(x, m.col) for x in range(cat.n_objects) for m in M.eval_basis(x)]
+    assert oracle.objects == tuple(x for x, _ in cols)
+    assert oracle.basis.shape == (M.total_dim, sum(c.shape[1] for _, c in cols))
+    for sl, (_, col) in zip(block_slices(cat, oracle.objects), cols):
+        assert np.array_equal(oracle.basis[:, sl], col)
     for z in range(cat.n_objects):
         w, r = oracle.frames[z], oracle.factors[z]
         assert oracle.dims[z] == dims[z]
@@ -530,24 +536,36 @@ def test_hull_extend_rejects_bad_object_indices(bad):
             E.hull_extend(src_list, dst_list, block)
 
 
-@pytest.mark.parametrize("bad", [2, 5, -1])
+@pytest.mark.parametrize("bad", [2, 5, -1, 1.5, True, "0", None])
 def test_accessors_reject_bad_object_indices(bad):
     """The object, action and component accessors raise ``InvalidInput`` on
-    an index out of range or negative, never a bare lookup error or a
-    wrapped-around result."""
+    an index out of range, negative or not an integer (a bool included),
+    never a bare lookup or type error, a truncated index or a wrapped-around
+    result; so do a module's base, a functor's object map and an object's
+    dimension."""
     from cstarcat.bimodules import BimoduleMap
-    from cstarcat.category import identity_functor
+    from cstarcat.category import CStarFunctor, identity_functor
     from cstarcat.errors import InvalidInput
     from cstarcat.morita import check_imprimitivity, conjugate_bimodule
     from cstarcat.multipliers import multiplier_category
 
     base, _ = random_block_category(3, n_objects=2)
+    # object 1 of base as a category of its own: mapping it to 1 is a functor
+    corner = {(0, 0): base.hom_basis(1, 1)}
+    sub = CStarCategory([("a", base.dim(1))], corner)
     E = yoneda_bimodule(base)
     tau = BimoduleMap(E, E, [E.ob(x).identity() for x in range(2)])
     mult = multiplier_category(base)
     calls = [
         lambda: base.dim(bad),
         lambda: base.label(bad),
+        lambda: base.hom_basis(bad, 0),
+        lambda: base.hom_basis(0, bad),
+        lambda: base.unit(bad),
+        lambda: E.ob(bad),
+        lambda: E.ob(0).eval_stack(bad),
+        lambda: HilbertModule(base, [bad], np.eye(1)),
+        lambda: CStarFunctor(sub, base, [bad], corner),
         lambda: E.mor_stack(bad, 0),
         lambda: E.mor_stack(0, bad),
         lambda: identity_functor(base).image_stack(bad, 0),
@@ -555,6 +573,8 @@ def test_accessors_reject_bad_object_indices(bad):
         lambda: mult.dim(bad, 0),
         lambda: mult.dim(0, bad),
     ]
+    if not isinstance(bad, int) or isinstance(bad, bool) or bad < 0:
+        calls.append(lambda: CStarCategory([("a", bad)], {}))
     conj = conjugate_bimodule(check_imprimitivity(E)[0])
     for B in (E, conj, tensor_bimodule_bimodule(E, E)):
         row = np.zeros((1, B.ob(0).total_dim))

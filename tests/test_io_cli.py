@@ -300,6 +300,20 @@ def test_idem_projection_object_of_wrong_type_is_input_error(tmp_path, capsys, o
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("obj, size", [(7, 2), (0, 5)], ids=["out-of-range", "wrong-shape"])
+def test_idem_projection_out_of_range_or_misshapen_is_input_error(tmp_path, capsys, obj, size):
+    """The projections file is checked as it is read: an object the
+    category lacks, or a matrix of the wrong size for its object, makes the
+    file unreadable (exit 2, one ``error:`` line), not a failed construction."""
+    src = FIXTURES / "category_block_0.cstar.json"
+    assert [d for _, d in realize(load_specfile(src)).objects] == [2, 2]
+    path = tmp_path / "projections.json"
+    path.write_text(json.dumps([{"object": obj, "mat": encode_matrix(np.eye(size))}]))
+    assert main(["construct", "idem", str(src), "--projections", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: bad projections file")
+
+
 def test_verify_module_checks_its_category(tmp_path, capsys):
     """``verify`` on a module also verifies its category: with an empty
     basis for hom(0, 0), object 0 has no identity and the module fails."""

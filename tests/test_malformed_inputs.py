@@ -15,6 +15,11 @@ mutation alters the first position of every shape it applies to:
 must exit 0, 1 or 2 and write no traceback.  Every number in the format is a
 matrix entry or an integer, so the four mutations of a number make the file
 unreadable: those runs must exit 2 with one ``error:`` line.
+
+The ``--projections`` file of ``construct idem`` (a list of ``{object,
+mat}``) takes the same mutations, walked from its top-level list, plus an
+object out of range and a matrix of the wrong shape.  Each of them makes the
+file unreadable.
 """
 
 import contextlib
@@ -54,17 +59,16 @@ MUTATIONS = {
 }
 
 
-def malformed_copies(obj: dict):
-    """(label, mutated copy) of one decoded file, in a fixed order."""
+def malformed_copies(root):
+    """(label, mutated copy) of one decoded JSON value, in a fixed order."""
     for name, (applies, replace) in MUTATIONS.items():
         seen = set()
-        for path, value in _positions(obj["payload"]):
+        for path, value in _positions(root):
             shape = tuple("*" if isinstance(k, int) else k for k in path)
             if shape in seen or not applies(path, value):
                 continue
             seen.add(shape)
-            copy = json.loads(json.dumps(obj))
-            parent = copy["payload"]
+            copy = parent = json.loads(json.dumps(root))
             for key in path[:-1]:
                 parent = parent[key]
             if replace is None:
@@ -91,8 +95,9 @@ def test_malformed_copies_keep_the_exit_code_contract(fixture, tmp_path):
     obj = json.loads(fixture.read_text())
     verbs = ("verify", "morita") if obj["kind"] == "bimodule" else ("verify",)
     path, broken, count = tmp_path / fixture.name, [], 0
-    for label, copy in malformed_copies(obj):
-        path.write_text(json.dumps(copy))  # NaN and Infinity as Python's json writes them
+    for label, payload in malformed_copies(obj["payload"]):
+        # NaN and Infinity as Python's json writes them
+        path.write_text(json.dumps(dict(obj, payload=payload)))
         for verb in verbs:
             code, err = _run([verb, str(path)])
             count += 1
@@ -103,4 +108,25 @@ def test_malformed_copies_keep_the_exit_code_contract(fixture, tmp_path):
             if not ok:
                 broken.append((verb, label, code, err.strip()[-200:]))
     assert count >= 10
+    assert not broken, broken
+
+
+def test_malformed_projections_files_are_unreadable(tmp_path):
+    category = FIXTURES / "category_block_0.cstar.json"
+    good = [{"object": x, "mat": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+            for x in (0, 1)]
+    path = tmp_path / "projections.json"
+    args = ["construct", "idem", str(category), "--projections", str(path)]
+    path.write_text(json.dumps(good))
+    assert _run(args)[0] == 0
+    copies = list(malformed_copies(good))
+    assert {label.split()[0] for label, _ in copies} == set(MUTATIONS)
+    copies += [("range object", [dict(good[0], object=2)]),
+               ("shape mat", [dict(good[0], mat=good[0]["mat"] + [good[0]["mat"][0]])])]
+    broken = []
+    for label, copy in copies:
+        path.write_text(json.dumps(copy))
+        code, err = _run(args)
+        if not (code == 2 and len(err.splitlines()) == 1 and err.startswith("error:")):
+            broken.append((label, code, err.strip()[-200:]))
     assert not broken, broken

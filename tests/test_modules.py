@@ -38,6 +38,20 @@ def rng():
     return np.random.default_rng(21)
 
 
+def test_numpy_integer_indices_are_taken_as_ints(cat):
+    """A numpy integer is an object index like an int, and a module keeps
+    its base as Python ints, so its payload serializes."""
+    import json
+
+    from cstarcat.io import module_payload
+    from cstarcat.modules import HilbertModule
+
+    d = cat.dim(np.int64(1))
+    M = HilbertModule(cat, [np.int64(1), np.int32(1)], np.eye(2 * d))
+    assert [type(x) for x in M.base] == [int, int]
+    assert json.loads(json.dumps(module_payload(M)))["base"] == [1, 1]
+
+
 def test_representable_eval_dimension(cat):
     for x in range(cat.n_objects):
         h = representable(cat, x)

@@ -512,7 +512,7 @@ def _reference_left_product(data, e, f):
     if e.at != f.at:
         raise InvalidInput("left products need elements at one target object")
     theta = e.col @ f.col.conj().T
-    pinv, k = data._solver(xp, x)
+    pinv, k, _ = data._solver(xp, x)
     if k == 0:
         if op_norm(theta) > data.tol.bound(max(e.norm() * f.norm(), 1.0)) * 100:
             raise NotInvertible("nonzero single-rank operator over an empty hom-space")
@@ -604,15 +604,64 @@ def test_solver_pinv_is_numpys_pinv(case):
     data = BiHilbertData(E)
     for src, dst in itertools.product(range(E.source.n_objects), repeat=2):
         stack = E.mor_stack(src, dst)
-        pinv, k = data._solver(src, dst)
-        assert k == stack.shape[0]
+        pinv, k, rank = data._solver(src, dst)
+        assert k == rank == stack.shape[0]
         if k:
             assert np.array_equal(pinv, np.linalg.pinv(stack.reshape(k, -1).T))
 
 
 def test_solver_rejects_a_non_injective_action():
-    with pytest.raises(NotInvertible, match="not injective"):
-        BiHilbertData(_non_faithful_bimodule())._solver(0, 0)
+    # the certificate and the left products read one rank: the certificate
+    # reports the deficit, and forming a left product raises
+    E = _non_faithful_bimodule()
+    data, report = check_imprimitivity(E)
+    assert data is None
+    assert {c.name: c.residual for c in report.checks}["faithful-deficit"] >= 1
+    data = BiHilbertData(E)
+    pinv, k, rank = data._solver(0, 0)
+    assert pinv is None and rank < k
+    e = E.ob(0).eval_basis(0)[0]
+    for call in (lambda: data.left_product(e, e), lambda: data.left_product_block([e], [e])):
+        with pytest.raises(NotInvertible, match="not injective"):
+            call()
+
+
+def test_certificate_and_left_products_share_one_svd_per_pair(monkeypatch):
+    # criterion-8 seed 4: check_imprimitivity takes one SVD of each action
+    # stack, the one its data keeps; left products then take none.  The
+    # compacts of this free fiber are the action's own basis, so their
+    # spans are taken before SVDs are counted
+    from cstarcat import morita
+
+    cat, _ = random_block_category(4, n_objects=2, max_mult=2)
+    _, data = mat_equivalence(cat)
+    E = data.bimodule
+    pairs = list(itertools.product(range(E.source.n_objects), repeat=2))
+    flats = [E.mor_stack(x, xp).reshape(len(E.mor_stack(x, xp)), -1) for x, xp in pairs]
+    compacts = {(id(E.ob(x)), id(E.ob(xp))): morita.bounded_operator_basis(E.ob(x), E.ob(xp))
+                for x, xp in pairs}
+    monkeypatch.setattr(morita, "bounded_operator_basis",
+                        lambda fx, fxp, tol=None: compacts[id(fx), id(fxp)])
+    operands, svd = [], np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        operands.append(np.array(a, copy=True))
+        return svd(a, *args, **kwargs)
+
+    def action_svds():
+        return sum(any(op.shape == f.T.shape and np.array_equal(op, f.T.conj()) for f in flats)
+                   or any(op.shape == f.shape and np.array_equal(op, f) for f in flats)
+                   for op in operands)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    data, _ = check_imprimitivity(E)
+    assert sorted(data._solvers) == sorted(pairs)
+    assert action_svds() == len(pairs)
+    operands.clear()
+    y = 0
+    es = [e for x in range(E.source.n_objects) for e in E.ob(x).eval_basis(y)]
+    data.left_product_block(es, es)
+    assert action_svds() == 0
 
 
 def _reference_imprimitivity_samples(data, rng, samples):
